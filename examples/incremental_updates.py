@@ -3,8 +3,8 @@
 Fits the batch pipeline on an initial dirty table, freezes it into an
 :class:`~repro.incremental.IncrementalResolver`, saves the artifacts to
 disk, reloads them (as a serving process would), and streams two batches
-of newly arriving records into the persistent :class:`EntityStore` —
-without ever re-running EM.
+of newly arriving records into the persistent entity store
+(:class:`~repro.shard.ShardedEntityStore`) — without ever re-running EM.
 
 Run:  python examples/incremental_updates.py
 """

@@ -22,6 +22,8 @@ functions), :mod:`repro.features` (Magellan-style feature generation),
 :mod:`repro.blocking`, :mod:`repro.data` (tables + benchmark generators),
 :mod:`repro.baselines`, :mod:`repro.eval` (metrics + experiment harness),
 :mod:`repro.incremental` (frozen-model artifacts + streaming resolution),
+:mod:`repro.shard` (the token index and entity store streaming resolution
+runs on),
 :mod:`repro.serve` (the async HTTP serving layer over frozen artifacts),
 and :mod:`repro.api` (the pipeline/session/spec layer re-exported here).
 """
@@ -59,13 +61,8 @@ from repro.core import (
 )
 from repro.data import ERDataset, Table, load_benchmark
 from repro.features import FeatureGenerator
-from repro.incremental import (
-    EntityStore,
-    IncrementalResolver,
-    IncrementalTokenIndex,
-    load_artifacts,
-    save_artifacts,
-)
+from repro.incremental import IncrementalResolver, load_artifacts, save_artifacts
+from repro.shard import ShardedEntityStore, ShardedTokenIndex
 
 __version__ = "1.1.0"
 
@@ -106,35 +103,10 @@ __all__ = [
     "configure_telemetry",
     "telemetry_active",
     # incremental resolution
-    "EntityStore",
     "IncrementalResolver",
-    "IncrementalTokenIndex",
+    "ShardedEntityStore",
+    "ShardedTokenIndex",
     "save_artifacts",
     "load_artifacts",
     "__version__",
 ]
-
-#: Deprecated aliases served via module ``__getattr__`` (warn, don't break).
-_DEPRECATED_ALIASES = {
-    # the paper's arXiv preprint used the name AutoER; same model
-    "AutoER": ("ZeroER", lambda: ZeroER),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        replacement, resolve_alias = _DEPRECATED_ALIASES[name]
-        import warnings
-
-        warnings.warn(
-            f"repro.{name} is deprecated; use repro.{replacement} — "
-            "this alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return resolve_alias()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_ALIASES))

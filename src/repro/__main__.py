@@ -41,7 +41,7 @@ workflows:
 ``resolve``
     Stream a batch of new records against saved artifacts — no re-fit, the
     store and artifacts are updated in place (``--workers`` overrides the
-    frozen worker count; sharded artifacts print per-shard statistics)::
+    frozen worker count; a second line prints per-shard statistics)::
 
         python -m repro resolve --artifacts art/ --records new.csv -o assignments.csv
 
@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="partition the entity store and token index across N hash shards "
-        "with memory-mapped per-shard artifacts (default: 1, the classic "
-        "in-memory engine; overrides the spec's shard section)",
+        "with memory-mapped per-shard artifacts (default: 1; overrides the "
+        "spec's shard section)",
     )
     fit.add_argument(
         "--workers",
@@ -659,17 +659,16 @@ def _cmd_fit(args) -> int:
 
 def _shard_summary(stats: dict) -> str:
     """One-line shard/candidate statistics for the ``resolve`` report."""
-    per_shard = stats.get("pairs_per_shard") or {}
-    touched = stats.get("index_shards_touched") or []
+    per_shard = stats["pairs_per_shard"]
     dist = ", ".join(f"s{shard}:{count}" for shard, count in sorted(per_shard.items()))
     line = (
-        f"shards: {len(touched)}/{stats['n_shards']} probed, "
+        f"shards: {len(stats['index_shards_touched'])}/{stats['n_shards']} probed, "
         f"workers: {stats['workers']}"
     )
     if dist:
         line += f"; candidate pairs per shard: {dist}"
-    loader = stats.get("loader") or {}
-    if loader.get("budget_bytes"):
+    loader = stats["loader"]
+    if loader["budget_bytes"]:
         line += (
             f"; mapped {loader['loaded_shards']} shard(s), "
             f"{loader['loaded_bytes']} bytes "
@@ -710,8 +709,7 @@ def _cmd_resolve(args) -> int:
         f"store now holds {len(resolver.store)} records in "
         f"{resolver.store.n_entities} entities"
     )
-    if result.shard_stats:
-        print(_shard_summary(result.shard_stats))
+    print(_shard_summary(result.shard_stats))
     resolver.close()
     return 0
 

@@ -248,16 +248,12 @@ class ERPipeline:
         disjoint. The pipeline's declarative spec (when capturable) is
         embedded in the resolver for provenance.
 
-        ``shards=1`` (the default) freezes onto the classic in-memory
-        store/index — the reference engine. ``shards >= 2`` freezes onto
-        the partitioned structures of :mod:`repro.shard` (same results,
-        bit for bit; out-of-core artifacts and vectorized probing), with
-        ``workers`` parallel featurization processes and an optional
-        in-process shard ``load_budget_mb`` enforced after a reload.
+        The store and index partition into ``shards`` hash shards (default
+        1; results are bit-identical for any count) and featurize with
+        ``workers`` parallel processes; an optional in-process shard
+        ``load_budget_mb`` is enforced after a reload.
         """
-        from repro.incremental.index import IncrementalTokenIndex
         from repro.incremental.resolver import IncrementalResolver
-        from repro.incremental.store import EntityStore
         from repro.shard import (
             ShardedEntityStore,
             ShardedTokenIndex,
@@ -284,22 +280,15 @@ class ERPipeline:
                 )
         blocker = self.fitted_blocker_ if self.fitted_blocker_ is not None else self.blocker
         engine = self.fitted_engine_ if self.fitted_engine_ is not None else self.feature_engine
-        if shards > 1:
-            budget = int(load_budget_mb * 1024 * 1024) if load_budget_mb else None
-            loader = ShardLoadManager(budget_bytes=budget)
-            index = ShardedTokenIndex.from_blocker(
-                blocker, id_attr=left.id_attr, n_shards=shards, loader=loader
-            )
-            store = ShardedEntityStore(
-                id_attr=left.id_attr, n_shards=shards, loader=loader
-            )
-        else:
-            index = IncrementalTokenIndex.from_blocker(blocker, id_attr=left.id_attr)
-            store = EntityStore(id_attr=left.id_attr)
+        budget = int(load_budget_mb * 1024 * 1024) if load_budget_mb else None
+        loader = ShardLoadManager(budget_bytes=budget)
+        index = ShardedTokenIndex.from_blocker(
+            blocker, id_attr=left.id_attr, n_shards=shards, loader=loader
+        )
+        store = ShardedEntityStore(id_attr=left.id_attr, n_shards=shards, loader=loader)
         for table in (left, right) if right is not None else (left,):
-            for rec in table:
-                store.add(rec)
-                index.add([rec])
+            index.add(table)
+            store.add_records(table)
         for pair, score in zip(self.result_.pairs, self.result_.scores):
             if score > threshold:
                 store.merge(*pair)

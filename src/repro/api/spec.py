@@ -421,15 +421,14 @@ class ShardSpec:
     """Declarative sharding for ``python -m repro fit`` / ``freeze()``.
 
     Embedded (optionally) as the ``shard`` section of a
-    :class:`PipelineSpec`. ``shards=1`` keeps the classic in-memory
-    engine; ``shards >= 2`` partitions the entity store and token index
-    across that many hash shards (see :mod:`repro.shard`) with
-    ``workers`` featurization processes per resolve and an optional
+    :class:`PipelineSpec`. ``shards`` partitions the entity store and
+    token index across that many hash shards (see :mod:`repro.shard`),
+    with ``workers`` featurization processes per resolve and an optional
     in-process ``load_budget_mb`` for memory-mapped shard bases.
     CLI flags override any field at fit time.
     """
 
-    #: Number of hash shards for the store and index (1..64; 1 = classic).
+    #: Number of hash shards for the store and index (1..64).
     shards: int = 1
     #: Featurization worker processes per resolve batch (1 = in-process).
     workers: int = 1
@@ -495,8 +494,8 @@ class PipelineSpec:
     #: Optional serving posture (``None`` — the common case for specs that
     #: never get served — serializes as an absent ``serve`` section).
     serve: ServeSpec | None = None
-    #: Optional sharding posture for freeze/fit (``None`` — classic
-    #: unsharded engine — serializes as an absent ``shard`` section).
+    #: Optional sharding posture for freeze/fit (``None`` — one shard, one
+    #: worker — serializes as an absent ``shard`` section).
     shard: ShardSpec | None = None
     version: int = SPEC_VERSION
 

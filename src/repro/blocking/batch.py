@@ -21,10 +21,6 @@ chunked numpy:
   :func:`~repro.blocking.overlap.rank_overlap_candidates` contract —
   descending overlap count, ties broken by target insertion order — so the
   emitted pair list is bit-identical to the per-record path.
-
-The same encoding layer backs
-:meth:`~repro.incremental.index.IncrementalTokenIndex.candidates_batch`,
-keeping batch and streaming blocking parameter- and ranking-compatible.
 """
 
 from __future__ import annotations
@@ -64,13 +60,13 @@ class TokenEncoding:
 
     __slots__ = ("ids", "vocab", "indptr", "token_cols", "df", "_postings")
 
-    def __init__(self, ids, vocab, indptr, token_cols, df, postings=None):
+    def __init__(self, ids, vocab, indptr, token_cols, df):
         self.ids = ids
         self.vocab = vocab
         self.indptr = indptr
         self.token_cols = token_cols
         self.df = df
-        self._postings = postings
+        self._postings = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -121,29 +117,6 @@ class TokenEncoding:
         token_cols = np.asarray(cols, dtype=np.int64)
         df = np.bincount(token_cols, minlength=len(vocab)) if own_vocab else None
         return cls(ids, vocab, np.asarray(indptr, dtype=np.int64), token_cols, df)
-
-    @classmethod
-    def from_postings(cls, postings: dict, position_of: dict) -> "TokenEncoding":
-        """Build a target-side encoding straight from inverted postings.
-
-        ``postings`` maps token → list of record ids, ``position_of`` maps
-        record id → row position (insertion order). This is how the
-        incremental index snapshots itself into the sparse kernel without
-        re-tokenizing its records; only the token-major view is populated,
-        so the result can serve as a sparse-probe *target* but not as a
-        probe side.
-        """
-        ids = [rid for rid, _ in sorted(position_of.items(), key=lambda kv: kv[1])]
-        vocab = {tok: col for col, tok in enumerate(postings)}
-        df = np.asarray([len(postings[tok]) for tok in postings], dtype=np.int64)
-        post_indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(df)])
-        total = int(post_indptr[-1])
-        post_rows = np.fromiter(
-            (position_of[rid] for rids in postings.values() for rid in rids),
-            dtype=np.int32 if len(ids) < 2**31 else np.int64,
-            count=total,
-        )
-        return cls(ids, vocab, None, None, df, postings=(post_indptr, post_rows))
 
     def postings_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Token-major inverted view: ``(post_indptr, post_rows)``.
@@ -261,7 +234,6 @@ def sparse_overlap_select(
     max_df: float,
     top_k: int | None,
     dedup: bool = False,
-    exclude_cols: np.ndarray | None = None,
     chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranked overlap candidates as ``(probe_rows, target_cols, counts)``.
@@ -281,8 +253,6 @@ def sparse_overlap_select(
 
     ``dedup=True`` keeps only targets at a strictly later row position than
     the probe (both sides must then encode the same table).
-    ``exclude_cols`` (int64, ``-1`` = none) drops one target column per
-    probe row — used by the incremental index to exclude a probe's own id.
     """
     validate_overlap_params(min_overlap, max_df, top_k)
     n_probe, n_target = len(probe), len(target)
@@ -335,10 +305,6 @@ def sparse_overlap_select(
             if dedup:
                 gpos = np.arange(gstart, stop, dtype=np.int64)
                 counts[np.arange(n_target, dtype=np.int64)[None, :] <= gpos[:, None]] = 0
-            if exclude_cols is not None:
-                ex = exclude_cols[gstart:stop]
-                hit = np.flatnonzero(ex >= 0)
-                counts[hit, ex[hit]] = 0
             rows_c, cols_c, cnt_c = _select_dense(counts, min_overlap, top_k, n_target)
         else:
             # sparse accumulation: sort the entry keys and run-length count
@@ -359,8 +325,6 @@ def sparse_overlap_select(
             mask = cnt_c >= min_overlap
             if dedup:
                 mask &= cols_c > rows_c + gstart
-            if exclude_cols is not None:
-                mask &= cols_c != exclude_cols[gstart:stop][rows_c]
             rows_c, cols_c, cnt_c = rows_c[mask], cols_c[mask], cnt_c[mask]
             rows_c, cols_c, cnt_c = _rank_and_cap(rows_c, cols_c, cnt_c, top_k, n_target)
 

@@ -769,7 +769,7 @@ class FeatureGenerator:
         Only records referenced by ``pairs`` are prepared, so the cost is
         linear in the pair batch, not the table size; any record source with
         ``.get(record_id) -> dict`` (a :class:`~repro.data.table.Table` or an
-        :class:`~repro.incremental.store.EntityStore`) is accepted.
+        :class:`~repro.shard.store.ShardedEntityStore`) is accepted.
 
         ``engine="batch"`` (default) scores columns with the vectorized
         kernels in :mod:`repro.text.batch`, sharing tokenization and

@@ -3,10 +3,12 @@
 :class:`IncrementalResolver` is the serving path the batch pipeline cannot
 provide: given a model fitted once (EM never re-runs here), each arriving
 batch of records is resolved in time proportional to the *batch*, not the
-store — candidates come from the incremental index, only the new candidate
+store — candidates come from the token index
+(:class:`~repro.shard.index.ShardedTokenIndex`), only the new candidate
 pairs are featurized, and the frozen model scores them via
-``predict_proba``. Matches update the entity store's union-find registry,
-so transitive merges across batches happen automatically.
+``predict_proba``. Matches update the entity store's union-find registry
+(:class:`~repro.shard.store.ShardedEntityStore`), so transitive merges
+across batches happen automatically.
 
 Records within one batch can match each other: each record is probed
 against the index *before* being added, and earlier records of the batch
@@ -34,8 +36,6 @@ from repro.incremental.artifacts import (
     load_artifacts,
     save_artifacts,
 )
-from repro.incremental.index import IncrementalTokenIndex
-from repro.incremental.store import EntityStore
 from repro.obs import (
     RunTelemetry,
     add_counter,
@@ -51,6 +51,16 @@ from repro.reliability.health import (
     health_scope,
     record_condition,
 )
+from repro.shard.artifacts import (
+    load_sharded_state,
+    payload_meta,
+    rebase_after_save,
+    sharded_payload,
+    write_payload_files,
+)
+from repro.shard.index import ShardedTokenIndex
+from repro.shard.pool import FeaturePool, validate_workers
+from repro.shard.store import ShardedEntityStore
 
 __all__ = ["IncrementalResolver", "ResolveResult"]
 
@@ -77,9 +87,8 @@ class ResolveResult:
     #: Degradations recorded while resolving (a
     #: :class:`~repro.reliability.health.HealthReport`).
     health: object | None = field(default=None, repr=False, compare=False)
-    #: Shard/candidate statistics when resolving against a sharded store
-    #: (shards touched, pairs per shard, load-budget counters); ``None``
-    #: for the unsharded engine.
+    #: Shard/candidate statistics for the batch (shards touched, pairs per
+    #: shard, load-budget counters).
     shard_stats: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -128,9 +137,10 @@ class IncrementalResolver:
         :class:`~repro.core.linkage.ZeroERLinkage`; only ``predict_proba``
         is used, EM is never re-run.
     index:
-        Incremental candidate index, already covering the store's records.
+        Token index, already covering the store's records.
     store:
-        Entity store holding previously resolved records.
+        Entity store holding previously resolved records (same shard count
+        as ``index``).
     threshold:
         Match probability threshold (default 0.5, the paper's γ > 0.5 rule).
     engine:
@@ -155,8 +165,8 @@ class IncrementalResolver:
         self,
         generator: FeatureGenerator,
         model: ZeroER | ZeroERLinkage,
-        index: IncrementalTokenIndex,
-        store: EntityStore,
+        index: ShardedTokenIndex,
+        store: ShardedEntityStore,
         threshold: float = 0.5,
         engine: str = "batch",
         spec=None,
@@ -169,8 +179,6 @@ class IncrementalResolver:
             raise ValueError(
                 f"index covers {len(index)} records but the store holds {len(store)}"
             )
-        from repro.shard.pool import validate_workers
-
         self.generator = generator
         self.model = model
         self.index = index
@@ -181,17 +189,8 @@ class IncrementalResolver:
         self.workers = validate_workers(workers)
         self._pool = None
 
-    @property
-    def sharded(self) -> bool:
-        """Whether this resolver runs on sharded store/index structures."""
-        from repro.shard.store import ShardedEntityStore
-
-        return isinstance(self.store, ShardedEntityStore)
-
     def _feature_pool(self):
         if self._pool is None:
-            from repro.shard.pool import FeaturePool
-
             self._pool = FeaturePool(self.generator.get_state(), self.engine, self.workers)
         return self._pool
 
@@ -252,7 +251,7 @@ class IncrementalResolver:
                     batch_size=len(records),
                 )
 
-            shard_stats = self._shard_stats(pairs) if self.sharded else None
+            shard_stats = self._shard_stats(pairs)
 
             # Empty batches and batches with no candidates still go through
             # the spans, so reports carry real measured timings — never
@@ -318,7 +317,7 @@ class IncrementalResolver:
         return result
 
     def _shard_stats(self, pairs: list[tuple]) -> dict:
-        """Shard/candidate statistics for one batch (sharded engine only)."""
+        """Shard/candidate statistics for one batch."""
         pairs_per_shard: dict[int, int] = {}
         for existing_id, _new_id in pairs:
             shard = self.store.shard_of(existing_id)
@@ -332,13 +331,11 @@ class IncrementalResolver:
             "loader": self.store.loader.stats(),
         }
 
-    def _publish_gauges(self, shard_stats: dict | None) -> None:
+    def _publish_gauges(self, shard_stats: dict) -> None:
         """Process- and shard-level gauges for run reports (traced runs only)."""
         rss = process_rss_bytes()
         if rss is not None:
             set_gauge("process.rss_bytes", rss)
-        if shard_stats is None:
-            return
         set_gauge("shard.count", shard_stats["n_shards"])
         set_gauge("shard.workers", shard_stats["workers"])
         loader = shard_stats["loader"]
@@ -361,81 +358,66 @@ class IncrementalResolver:
     # -- persistence ---------------------------------------------------------------
 
     def save(self, path: str | Path, report: dict | None = None) -> Path:
-        """Persist the full resolver (model artifacts + store + index config).
+        """Persist the full resolver (model artifacts + store + index).
 
-        Unsharded resolvers embed the store state in the JSON manifest and
-        :meth:`load` rebuilds the postings by re-indexing it — they are a
-        pure function of the records and index parameters. Sharded
-        resolvers instead publish columnar shard containers under
-        ``shards/`` in the same atomic version publish; clean shards are
-        hardlinked from the previous version rather than rewritten. A run
-        report (:meth:`ResolveResult.report`) can be embedded alongside
-        the pipeline spec for provenance.
+        The store and index are published as columnar shard containers
+        under ``shards/`` in the same atomic version publish as the model;
+        clean shards are hardlinked from the previous version rather than
+        rewritten. A run report (:meth:`ResolveResult.report`) can be
+        embedded alongside the pipeline spec for provenance.
         """
-        extra_payload: dict = {
-            "threshold": self.threshold,
-            "engine": self.engine,
-            "workers": self.workers,
-            "index": self.index.params(),
-        }
-        extra_files = None
-        payload = None
-        if self.sharded:
-            from repro.shard.artifacts import (
-                payload_meta,
-                sharded_payload,
-                write_payload_files,
-            )
-
-            budget = self.store.loader.budget_bytes
-            payload = sharded_payload(
-                self.store,
-                self.index,
-                workers=self.workers,
-                load_budget_mb=budget / (1024 * 1024) if budget else None,
-            )
-            extra_payload["sharded"] = payload_meta(payload)
-            extra_files = lambda staging: write_payload_files(staging, payload)  # noqa: E731
-        else:
-            extra_payload["store"] = self.store.to_state()
+        budget = self.store.loader.budget_bytes
+        payload = sharded_payload(
+            self.store,
+            self.index,
+            workers=self.workers,
+            load_budget_mb=budget / (1024 * 1024) if budget else None,
+        )
         root = save_artifacts(
             path,
             self.generator,
             self.model,
-            extra={"resolver": extra_payload},
+            extra={
+                "resolver": {
+                    "threshold": self.threshold,
+                    "engine": self.engine,
+                    "workers": self.workers,
+                    "index": self.index.params(),
+                    "sharded": payload_meta(payload),
+                }
+            },
             spec=self.spec.to_dict() if self.spec is not None else None,
             report=report,
-            extra_files=extra_files,
+            extra_files=lambda staging: write_payload_files(staging, payload),
         )
-        if payload is not None:
-            from repro.shard.artifacts import rebase_after_save
-
-            rebase_after_save(self.store, self.index, artifact_dir(root), payload)
+        rebase_after_save(self.store, self.index, artifact_dir(root), payload)
         return root
 
     @classmethod
     def load(cls, path: str | Path, workers: int | None = None) -> "IncrementalResolver":
         """Restore a resolver saved with :meth:`save`, ready to keep resolving.
 
-        Sharded artifacts load lazily: only the ledger is read here, and
-        payload/posting shards stay on disk until a batch's tokens touch
-        them. ``workers`` overrides the saved worker count for this
-        process (serving and CLI knob). Raises
-        :class:`~repro.incremental.artifacts.ArtifactError` — never a raw
-        ``KeyError``/numpy traceback — when the artifact is valid but
-        carries no resolver state, or its stored state cannot be rebuilt.
+        Loading is lazy: only the ledger is read here, and payload/posting
+        shards stay on disk until a batch's tokens touch them. ``workers``
+        overrides the saved worker count for this process (serving and CLI
+        knob). Raises :class:`~repro.incremental.artifacts.ArtifactError`
+        with ``reason="schema"`` — never a raw ``KeyError``/numpy traceback
+        — when the artifact is valid but carries no loadable resolver state,
+        including artifacts that embed the store in the manifest (the
+        pre-shard-container format: re-freeze those).
         """
         generator, model, manifest = load_artifacts(path)
         try:
             payload = manifest["extra"]["resolver"]
-            if payload.get("sharded") is not None:
-                from repro.shard.artifacts import load_sharded_state
-
-                store, index = load_sharded_state(artifact_dir(path), payload)
-            else:
-                store = EntityStore.from_state(payload["store"])
-                index = IncrementalTokenIndex.from_params(payload["index"])
-                index.add(store.records())
+            if payload.get("sharded") is None:
+                raise ArtifactError(
+                    f"artifact at {path} stores its resolver in the retired in-manifest "
+                    "format; re-freeze it (python -m repro fit, or ERPipeline.freeze() "
+                    "then save()) to write the shard-container layout",
+                    path=Path(path),
+                    reason="schema",
+                )
+            store, index = load_sharded_state(artifact_dir(path), payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(
                 f"artifact at {path} carries no loadable resolver state: {exc}",
@@ -468,8 +450,7 @@ class IncrementalResolver:
             index,
             store,
             threshold=payload["threshold"],
-            # artifacts written before the engine knob existed default to batch
-            engine=payload.get("engine", "batch"),
+            engine=payload["engine"],
             spec=spec,
-            workers=workers if workers is not None else payload.get("workers", 1),
+            workers=workers if workers is not None else payload["workers"],
         )

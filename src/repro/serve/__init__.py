@@ -13,7 +13,7 @@ the pieces compose as::
 
 Guarantees the tests pin down: concurrent resolves are micro-batched into
 single columnar engine passes; store mutation is single-writer with
-consistent :meth:`~repro.incremental.store.EntityStore.snapshot` reads;
+consistent :meth:`~repro.shard.store.ShardedEntityStore.snapshot` reads;
 ``SIGHUP`` / ``POST /admin/reload`` hot-swaps the artifact's ``CURRENT``
 version with zero failed in-flight requests; overload sheds with typed
 503/429/504 responses instead of queueing unboundedly, and ``SIGTERM`` /

@@ -6,13 +6,13 @@ for batches; :class:`MicroBatcher` instead parks concurrent ``/resolve``
 requests on an ``asyncio`` queue, coalesces them — up to ``max_batch``
 records, waiting at most ``max_wait_ms`` for stragglers — and executes the
 merged batch as *one* call into the incremental engine
-(``IncrementalTokenIndex`` probing + batch featurization + one
+(``ShardedTokenIndex`` probing + batch featurization + one
 ``predict_proba``), then fans the per-request slices back out to their
 waiting futures.
 
 The batcher also owns the serving layer's **single-writer contract**: every
 batch executes on a one-thread executor, so resolves (which mutate the
-index and the union-find :class:`~repro.incremental.store.EntityStore`)
+index and the union-find :class:`~repro.shard.store.ShardedEntityStore`)
 are strictly serialized, while snapshot reads (lookup/health endpoints)
 proceed concurrently from the event loop. Artifact hot-reloads are funneled
 through the same thread via :meth:`MicroBatcher.run_serialized`, which is

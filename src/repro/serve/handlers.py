@@ -400,17 +400,12 @@ class Router:
         if rss is not None:
             self.metrics.gauge_set("process.rss_bytes", rss)
         store = self.state.resolver.store
-        loader = getattr(store, "loader", None)
-        if loader is not None:
-            stats = loader.stats()
-            self.metrics.gauge_set("shard.loaded_bytes", stats["loaded_bytes"])
-            self.metrics.gauge_set("shard.loaded_shards", stats["loaded_shards"])
-            self.metrics.gauge_set("shard.evictions", stats["evictions"])
-        if hasattr(store, "shard_sizes"):
-            for info in store.shard_sizes():
-                self.metrics.gauge_set(
-                    f"shard.store.records.{info['shard']:04d}", info["records"]
-                )
+        stats = store.loader.stats()
+        self.metrics.gauge_set("shard.loaded_bytes", stats["loaded_bytes"])
+        self.metrics.gauge_set("shard.loaded_shards", stats["loaded_shards"])
+        self.metrics.gauge_set("shard.evictions", stats["evictions"])
+        for info in store.shard_sizes():
+            self.metrics.gauge_set(f"shard.store.records.{info['shard']:04d}", info["records"])
 
     async def _handle_reload(self, request) -> tuple[int, dict]:
         try:

@@ -1,8 +1,8 @@
-"""Sharded, out-of-core resolution: partitioned store, index, and workers.
+"""The resolution engine: partitioned store, index, and workers.
 
-The incremental engine of :mod:`repro.incremental` keeps every posting
-list, record payload, and union-find pointer in one process's memory. This
-package is its scale-out counterpart, built from four orthogonal pieces:
+The streaming resolver of :mod:`repro.incremental` runs on the structures
+of this package — one shard by default, more to bound the working set of a
+store larger than memory — built from four orthogonal pieces:
 
 * **partitioning** (:mod:`repro.shard.partition`) — stable, process- and
   machine-independent hashing of tokens and record ids onto shards, so a
@@ -10,21 +10,19 @@ package is its scale-out counterpart, built from four orthogonal pieces:
 * **storage** (:mod:`repro.shard.storage`) — a single mmap-able columnar
   container file per shard, read lazily page-by-page, published through
   the crash-safe staged-directory discipline of :mod:`repro.reliability`;
-* **sharded structures** (:mod:`repro.shard.store`,
-  :mod:`repro.shard.index`) — drop-in counterparts of
-  :class:`~repro.incremental.store.EntityStore` and
-  :class:`~repro.incremental.index.IncrementalTokenIndex` that partition
-  payloads by record-id hash and postings by token hash while keeping the
-  union-find ledger global, so entity ids stay byte-for-byte identical to
-  the unsharded engine;
+* **store and index** (:mod:`repro.shard.store`,
+  :mod:`repro.shard.index`) — :class:`~repro.shard.store.ShardedEntityStore`
+  and :class:`~repro.shard.index.ShardedTokenIndex` partition payloads by
+  record-id hash and postings by token hash while keeping the union-find
+  ledger global, so entity ids do not depend on the shard count;
 * **workers** (:mod:`repro.shard.pool`) — a spawn-safe multiprocessing
   pool that featurizes candidate-pair chunks in parallel; scores are
   reassembled in pair order and the match merge stays serial, so results
   are bit-identical for any worker count.
 
-The unsharded engine remains the reference: one shard and one worker is
-exactly today's code path, and the parity suite holds every shard/worker
-combination to bit-identical match sets and entity ids against it.
+The reference loops the engine is held to live with the test suite: the
+parity suite holds every shard/worker combination to bit-identical pairs,
+scores, match sets and entity ids against them.
 """
 
 from repro.shard.artifacts import load_sharded_state, sharded_payload
@@ -39,7 +37,7 @@ from repro.shard.partition import (
 )
 from repro.shard.pool import FeaturePool
 from repro.shard.storage import ShardFile, pack_column, unpack_column, write_shard_file
-from repro.shard.store import ShardedEntityStore
+from repro.shard.store import ShardedEntityStore, StoreSnapshot
 
 __all__ = [
     "MAX_SHARDS",
@@ -53,6 +51,7 @@ __all__ = [
     "unpack_column",
     "ShardLoadManager",
     "ShardedEntityStore",
+    "StoreSnapshot",
     "ShardedTokenIndex",
     "FeaturePool",
     "sharded_payload",

@@ -1,15 +1,15 @@
-"""Sharded artifact layout: columnar shard files under the versioned root.
+"""Resolver artifact layout: columnar shard files under the versioned root.
 
-A sharded resolver publishes through exactly the same crash-safe discipline
-as the monolithic one — staged version directory, ``checksums.json``,
-atomic ``CURRENT`` swap — with the store/index payloads moved out of the
-JSON manifest into mmap-able containers::
+A resolver publishes through the crash-safe discipline of the model
+artifacts — staged version directory, ``checksums.json``, atomic
+``CURRENT`` swap — with the store/index payloads kept out of the JSON
+manifest, in mmap-able containers::
 
     artifacts/
       CURRENT              → "v000003"
       v000003/
-        manifest.json      — extra.resolver.sharded: layout + per-file sha256
-        arrays.npz         — fitted model arrays (unchanged)
+        manifest.json      — extra["resolver"]["sharded"]: layout + per-file sha256
+        arrays.npz         — fitted model arrays
         checksums.json     — covers the version dir's top-level files
         shards/
           ledger.shard     — union-find ledger, insertion order, global dfs

@@ -1,15 +1,18 @@
-"""Token-hash-sharded inverted index with vectorized probing.
+"""Streaming inverted token index, partitioned by token hash.
 
-:class:`ShardedTokenIndex` reproduces
-:class:`~repro.incremental.index.IncrementalTokenIndex`'s retrieval
-contract — query-time document-frequency pruning against the current index
-size, ``(-overlap, insertion order)`` ranking, ``top_k`` capping — over
-postings partitioned by :func:`~repro.shard.partition.shard_of_token`, so
-every token's full posting list lives in exactly one shard and a probe
-touches only the shards its tokens hash to.
+:class:`ShardedTokenIndex` is the streaming counterpart of
+:class:`~repro.blocking.overlap.TokenOverlapBlocker`: the same token-overlap
+candidate scoring — query-time document-frequency pruning against the
+current index size, ``(-overlap, insertion order)`` ranking, ``top_k``
+capping — over postings that grow one record at a time instead of being
+rebuilt per run. Pruning at query time means a token that starts rare and
+becomes boilerplate as records stream in is pruned exactly as a batch
+rebuild would prune it.
 
-Two representation choices make the probe vectorizable while keeping
-results bit-identical:
+Postings are partitioned by :func:`~repro.shard.partition.shard_of_token`,
+so every token's full posting list lives in exactly one shard and a probe
+touches only the shards its tokens hash to. Two representation choices
+make the probe vectorizable:
 
 * postings store **global insertion positions** (not record ids), so the
   ranking tie-break *is* the posting value and overlap counting is one
@@ -29,7 +32,6 @@ batch's tokens actually hash into them.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -159,10 +161,15 @@ class _IndexShard:
 
     # -- growth ----------------------------------------------------------------
 
-    def append(self, token: str, gpos: int) -> None:
-        self.tail.setdefault(token, []).append(gpos)
-        self.tail_entries += 1
-        self.entries_since_base += 1
+    def extend(self, token: str, positions: list) -> None:
+        """Append ``token``'s new postings (takes ownership of ``positions``)."""
+        bucket = self.tail.get(token)
+        if bucket is None:
+            self.tail[token] = positions
+        else:
+            bucket.extend(positions)
+        self.tail_entries += len(positions)
+        self.entries_since_base += len(positions)
 
     def maybe_seal(self) -> None:
         if self.tail_entries < SEAL_TAIL_ENTRIES:
@@ -179,8 +186,8 @@ class _IndexShard:
 
     # -- probing ---------------------------------------------------------------
 
-    def gather(self, token: str, parts: list, tail_counts: Counter) -> None:
-        """Collect ``token``'s posting arrays into ``parts`` / ``tail_counts``."""
+    def gather(self, token: str, parts: list) -> None:
+        """Collect ``token``'s posting arrays (every segment and the tail) into ``parts``."""
         base = self._base if self._base is not None else self._open_base()
         if base is not None:
             arr = base.slices_of(token)
@@ -192,7 +199,7 @@ class _IndexShard:
                 parts.append(arr)
         bucket = self.tail.get(token)
         if bucket:
-            tail_counts.update(bucket)
+            parts.append(np.array(bucket, dtype=np.int64))
 
     # -- serialization ---------------------------------------------------------
 
@@ -215,12 +222,15 @@ class _IndexShard:
 
 
 class ShardedTokenIndex:
-    """Grow-only sharded index, query-compatible with the unsharded one.
+    """Grow-only inverted index supporting ``add`` / ``candidates``.
 
-    Constructor parameters match
-    :class:`~repro.incremental.index.IncrementalTokenIndex` plus
-    ``n_shards`` and an optional shared
-    :class:`~repro.shard.loader.ShardLoadManager`.
+    Parameters mirror :class:`~repro.blocking.overlap.TokenOverlapBlocker`
+    (attribute, tokenizer, ``min_overlap``, ``max_df``, ``top_k``); ranking
+    and pruning semantics are identical, so probing an index built from a
+    table returns the same candidates batch blocking would have produced for
+    that probe record. ``n_shards`` (default 1) partitions the postings,
+    and an optional shared :class:`~repro.shard.loader.ShardLoadManager`
+    budgets the shards loaded from disk.
     """
 
     def __init__(
@@ -231,7 +241,7 @@ class ShardedTokenIndex:
         max_df: float = 0.2,
         top_k: int | None = None,
         id_attr: str = "id",
-        n_shards: int = 2,
+        n_shards: int = 1,
         loader: ShardLoadManager | None = None,
     ):
         validate_overlap_params(min_overlap, max_df, top_k)
@@ -254,10 +264,10 @@ class ShardedTokenIndex:
         cls,
         blocker: TokenOverlapBlocker,
         id_attr: str = "id",
-        n_shards: int = 2,
+        n_shards: int = 1,
         loader: ShardLoadManager | None = None,
     ) -> "ShardedTokenIndex":
-        """An empty sharded index with the same retrieval parameters as ``blocker``."""
+        """An empty index with the same retrieval parameters as ``blocker``."""
         if not isinstance(blocker, TokenOverlapBlocker):
             raise TypeError(
                 "incremental candidate retrieval requires a TokenOverlapBlocker; "
@@ -282,61 +292,73 @@ class ShardedTokenIndex:
     def add(self, records: Iterable[dict]) -> int:
         """Index ``records``; returns how many were added.
 
-        Same grow-only contract as the unsharded index: re-adding an id
-        raises ``ValueError``.
+        Re-adding an already-indexed record id raises ``ValueError`` — the
+        index is grow-only and duplicated postings would double-count
+        overlaps; records ahead of it in ``records`` stay indexed.
         """
+        id_attr, position, rids = self.id_attr, self._position, self._rids
+        tokenizer, attribute = self.tokenizer, self.attribute
+        # Postings are grouped per token for the whole call and routed to
+        # their shards once per distinct token, not once per posting.
+        pending: dict[str, list] = {}
         added = 0
-        sealable = set()
-        for rec in records:
-            rid = rec[self.id_attr]
-            if rid in self._position:
-                raise ValueError(f"record id {rid!r} is already indexed")
-            gpos = len(self._rids)
-            self._position[rid] = gpos
-            self._rids.append(rid)
-            for tok in self._tokens(rec):
-                shard = self._shards[shard_of_token(tok, self.n_shards)]
-                shard.append(tok, gpos)
-                sealable.add(shard.shard_id)
-                self._gdf[tok] = self._gdf.get(tok, 0) + 1
-            added += 1
-        for shard_id in sealable:
-            self._shards[shard_id].maybe_seal()
+        try:
+            for rec in records:
+                rid = rec[id_attr]
+                if rid in position:
+                    raise ValueError(f"record id {rid!r} is already indexed")
+                gpos = len(rids)
+                position[rid] = gpos
+                rids.append(rid)
+                for tok in record_tokens(tokenizer, rec, attribute):
+                    bucket = pending.get(tok)
+                    if bucket is None:
+                        pending[tok] = [gpos]
+                    else:
+                        bucket.append(gpos)
+                added += 1
+        finally:
+            self._flush(pending)
         return added
+
+    def _flush(self, pending: dict[str, list]) -> None:
+        gdf, shards, n_shards = self._gdf, self._shards, self.n_shards
+        grown = set()
+        for tok, positions in pending.items():
+            gdf[tok] = gdf.get(tok, 0) + len(positions)
+            shard_id = shard_of_token(tok, n_shards)
+            shards[shard_id].extend(tok, positions)
+            grown.add(shard_id)
+        for shard_id in grown:
+            shards[shard_id].maybe_seal()
 
     # -- retrieval -------------------------------------------------------------
 
     def candidates(self, record: dict, top_k: int | None = None) -> list[tuple]:
         """Ranked ``(record_id, overlap_count)`` candidates for one probe.
 
-        Bit-identical to the unsharded index: the df cap is evaluated
-        against the current global size, counts accumulate across every
-        shard/segment a token's postings live in, and the final ranking is
-        ``(-count, insertion position)`` capped at ``top_k``.
+        The probe record itself need not (and normally does not) live in the
+        index yet; if it does, it is excluded from its own candidates.
+        ``top_k`` overrides the index default for this query. The df cap is
+        evaluated against the current global size, counts accumulate across
+        every shard/segment a token's postings live in, and the final
+        ranking is ``(-count, insertion position)``.
         """
         n = len(self._rids)
         if n == 0:
             return []
         df_cap = max(1, int(self.max_df * n))
         parts: list[np.ndarray] = []
-        tail_counts: Counter = Counter()
         for tok in self._tokens(record):
             df = self._gdf.get(tok)
             if df is None or df > df_cap:
                 continue
             shard_id = shard_of_token(tok, self.n_shards)
             self._touched.add(shard_id)
-            self._shards[shard_id].gather(tok, parts, tail_counts)
-        if not parts and not tail_counts:
+            self._shards[shard_id].gather(tok, parts)
+        if not parts:
             return []
-        if parts:
-            counts = np.bincount(
-                np.concatenate(parts) if len(parts) > 1 else parts[0], minlength=n
-            )
-        else:
-            counts = np.zeros(n, dtype=np.int64)
-        for gpos, c in tail_counts.items():
-            counts[gpos] += c
+        counts = np.bincount(np.concatenate(parts) if len(parts) > 1 else parts[0], minlength=n)
         probe_id = record.get(self.id_attr)
         if probe_id is not None:
             own = self._position.get(probe_id)
@@ -400,7 +422,7 @@ class ShardedTokenIndex:
 
     @classmethod
     def from_params(cls, params: dict, loader: ShardLoadManager | None = None):
-        """An empty sharded index configured from :meth:`params` output."""
+        """An empty index configured from :meth:`params` output."""
         return cls(
             params["attribute"],
             tokenizer=_tokenizer_from_spec(params["tokenizer"]),
@@ -408,7 +430,7 @@ class ShardedTokenIndex:
             max_df=params["max_df"],
             top_k=params["top_k"],
             id_attr=params["id_attr"],
-            n_shards=params.get("n_shards", 2),
+            n_shards=params["n_shards"],
             loader=loader,
         )
 

@@ -100,11 +100,11 @@ class FeaturePool:
     def transform(self, source, pairs: list[tuple]) -> np.ndarray:
         """Featurize ``pairs`` in parallel; rows come back in pair order.
 
-        ``source`` is any record source with ``.get(record_id)`` (an
-        :class:`~repro.incremental.store.EntityStore`, its sharded
-        counterpart, or a plain dict). Each chunk ships only the records
-        it references, so a mostly-cold sharded store pays payload
-        decoding once per referenced record, not per worker.
+        ``source`` is any record source with ``.get(record_id)`` (a
+        :class:`~repro.shard.store.ShardedEntityStore` or a plain dict).
+        Each chunk ships only the records it references, so a mostly-cold
+        store pays payload decoding once per referenced record, not per
+        worker.
         """
         if not pairs:
             raise ValueError("transform requires at least one pair")

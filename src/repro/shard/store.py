@@ -1,14 +1,19 @@
-"""Sharded entity store: a global union-find ledger over partitioned payloads.
+"""Entity store: a global union-find ledger over partitioned record payloads.
 
-:class:`ShardedEntityStore` keeps exactly the split that makes out-of-core
-resolution deterministic:
+:class:`ShardedEntityStore` is the system-of-record for incremental
+resolution. It holds every resolved record and a union-find partition over
+record ids; each cluster carries a *stable* entity id: the id is assigned
+when a record first arrives, and a merge always keeps the older of the two
+entity ids, so an entity's id never changes as more duplicates of it stream
+in — only younger ids disappear into older ones.
+
+The store keeps exactly the split that makes out-of-core resolution
+deterministic:
 
 * the **ledger** — union-find parent/rank pointers, entity ordinals, and
-  the record insertion order — is global and in-memory, and runs the same
-  merge algorithm as :class:`~repro.incremental.store.EntityStore` (older
-  entity ordinal survives a merge), so entity ids are byte-for-byte the
-  ids the unsharded engine would assign, no matter how records scatter
-  across shards or how many cross-shard edges a batch produces;
+  the record insertion order — is global and in-memory, so entity ids do
+  not depend on how records scatter across shards or how many cross-shard
+  edges a batch produces;
 * the **record payloads** — the bulky part — are partitioned by a stable
   hash of the record id (:func:`~repro.shard.partition.shard_of_record`)
   into shards, each an immutable mmap-backed base plus an in-memory
@@ -19,21 +24,53 @@ resolution deterministic:
 Cross-shard merges need no reconciliation protocol: a merge touches only
 the ledger, never the payloads, so two records in different shards unify
 exactly like two records in the same one.
+
+The store is safe to share between one writer and many readers (the
+serving layer's single-writer/snapshot-reader contract): every mutating
+*and* reading method takes an internal re-entrant lock — reads need it too
+because ``entity_of`` path-compresses parent pointers — and
+:meth:`ShardedEntityStore.snapshot` materializes a consistent, immutable
+:class:`StoreSnapshot` of the whole partition in one critical section, so a
+reader never observes a merge half-applied.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from repro.incremental.store import StoreSnapshot
 from repro.shard.loader import ShardLoadManager
 from repro.shard.partition import shard_of_record, validate_shard_count
 from repro.shard.storage import ABSENT, ShardFile, decode_value, pack_column
 
-__all__ = ["ShardedEntityStore"]
+__all__ = ["ShardedEntityStore", "StoreSnapshot"]
+
+
+@dataclass(frozen=True)
+class StoreSnapshot:
+    """An immutable, internally consistent view of one instant of a store.
+
+    Produced by :meth:`ShardedEntityStore.snapshot` under the store lock:
+    the entity partition, the per-record assignments derived from it, and
+    the counts all describe the same moment — no merge is ever visible in
+    one field but not another.
+    """
+
+    #: Records registered at snapshot time.
+    n_records: int
+    #: Clusters at snapshot time (``== len(entities)``).
+    n_entities: int
+    #: ``{entity_id: (record_ids, ...)}``, members in insertion order.
+    entities: MappingProxyType
+    #: ``{record_id: entity_id}`` for every registered record.
+    assignments: MappingProxyType
+
+    def entity_of(self, record_id) -> str:
+        """Entity id of ``record_id`` at snapshot time (``KeyError`` if absent)."""
+        return self.assignments[record_id]
 
 
 class _PayloadShard:
@@ -104,10 +141,6 @@ class _PayloadShard:
                 record[name] = value
         return record
 
-    def append(self, record: dict) -> int:
-        self.overlay.append(record)
-        return self.n_base + len(self.overlay) - 1
-
     def __len__(self) -> int:
         return self.n_base + len(self.overlay)
 
@@ -142,15 +175,17 @@ class _PayloadShard:
 
 
 class ShardedEntityStore:
-    """Drop-in :class:`~repro.incremental.store.EntityStore` over N shards.
+    """Record registry with transitive merging and stable entity ids.
 
     Parameters
     ----------
     id_attr:
-        Record-identifier attribute; ids must be unique forever, as in the
-        unsharded store.
+        Record-identifier attribute (default ``"id"``). Record ids must be
+        unique across everything ever added — for two-table linkage, prefix
+        the sides (the generated benchmarks' ``L*``/``R*`` ids already are).
     n_shards:
-        Payload partition count (1..:data:`~repro.shard.partition.MAX_SHARDS`).
+        Payload partition count (1..:data:`~repro.shard.partition.MAX_SHARDS`,
+        default 1).
     loader:
         Shared :class:`~repro.shard.loader.ShardLoadManager`; a private
         unbounded one is created when omitted.
@@ -159,7 +194,7 @@ class ShardedEntityStore:
     def __init__(
         self,
         id_attr: str = "id",
-        n_shards: int = 2,
+        n_shards: int = 1,
         loader: ShardLoadManager | None = None,
     ):
         self.id_attr = id_attr
@@ -168,37 +203,52 @@ class ShardedEntityStore:
         self._shards = [_PayloadShard(i, self.loader) for i in range(self.n_shards)]
         self._order: list = []  # record ids in insertion order
         self._slot: dict = {}  # rid -> (shard_id, slot)
-        self._parent: dict = {}
-        self._rank: dict = {}
-        self._entity_ord: dict = {}
+        self._parent: dict = {}  # union-find parent pointers
+        self._rank: dict = {}  # union-by-rank
+        self._entity_ord: dict = {}  # root rid -> entity creation counter
         self._next_ord = 0
-        # Same discipline as EntityStore: path compression mutates parent
-        # pointers on reads, so readers must exclude the writer too.
+        # Guards every read and write: path compression means even lookups
+        # mutate the parent pointers, so readers must exclude the writer.
         self._lock = threading.RLock()
 
     # -- growth ----------------------------------------------------------------
 
     def add(self, record: dict) -> str:
         """Register one record as a fresh singleton entity; returns its entity id."""
-        rid = record[self.id_attr]
-        with self._lock:
-            if rid in self._slot:
-                raise ValueError(f"record id {rid!r} is already in the store")
-            shard = self._shards[shard_of_record(rid, self.n_shards)]
-            slot = shard.append(dict(record))
-            self._slot[rid] = (shard.shard_id, slot)
-            self._order.append(rid)
-            self._parent[rid] = rid
-            self._rank[rid] = 0
-            self._entity_ord[rid] = self._next_ord
-            self._next_ord += 1
-            return self._entity_label(self._next_ord - 1)
+        return self.add_records((record,))[0]
 
     def add_records(self, records: Iterable[dict]) -> list[str]:
-        """Register many records; returns their (singleton) entity ids."""
-        return [self.add(rec) for rec in records]
+        """Register many records; returns their (singleton) entity ids.
 
-    # -- union-find (identical algorithm to EntityStore) -----------------------
+        A record id that is already stored raises ``ValueError``; records
+        ahead of it in ``records`` stay registered.
+        """
+        id_attr, n_shards, shards = self.id_attr, self.n_shards, self._shards
+        slot_of, order = self._slot, self._order
+        parent, rank, entity_ord = self._parent, self._rank, self._entity_ord
+        labels: list[str] = []
+        with self._lock:
+            next_ord = self._next_ord
+            try:
+                for record in records:
+                    rid = record[id_attr]
+                    if rid in slot_of:
+                        raise ValueError(f"record id {rid!r} is already in the store")
+                    shard_id = shard_of_record(rid, n_shards)
+                    shard = shards[shard_id]
+                    slot_of[rid] = (shard_id, shard.n_base + len(shard.overlay))
+                    shard.overlay.append(dict(record))
+                    order.append(rid)
+                    parent[rid] = rid
+                    rank[rid] = 0
+                    entity_ord[rid] = next_ord
+                    labels.append(f"e{next_ord}")
+                    next_ord += 1
+            finally:
+                self._next_ord = next_ord
+        return labels
+
+    # -- union-find --------------------------------------------------------------
 
     def _find(self, rid):
         root = rid
@@ -211,10 +261,12 @@ class ShardedEntityStore:
     def merge(self, a_id, b_id) -> str:
         """Declare two records the same entity; returns the surviving entity id.
 
-        Only the global ledger changes — payload shards are untouched — so
-        a merge across shard boundaries is indistinguishable from one
-        within a shard, and the surviving id is the older ordinal exactly
-        as in the unsharded store.
+        Merging is transitive through the union-find structure: merging
+        (a, b) then (b, c) leaves a, b, c in one cluster. The surviving
+        entity id is the *older* of the two clusters' ids, keeping entity
+        ids stable as evidence accumulates. Only the global ledger changes —
+        payload shards are untouched — so a merge across shard boundaries
+        is indistinguishable from one within a shard.
         """
         with self._lock:
             ra, rb = self._find(a_id), self._find(b_id)
@@ -256,9 +308,11 @@ class ShardedEntityStore:
     def snapshot(self) -> StoreSnapshot:
         """A consistent, immutable view of the current partition.
 
-        Built from the ledger alone — no payload shard is opened or
-        decoded — so serving-layer lookups over a mostly-cold store stay
-        cheap.
+        Built in one critical section, so a concurrent writer's merges are
+        either fully reflected or not at all — never torn across the
+        snapshot's fields. Built from the ledger alone — no payload shard
+        is opened or decoded — so serving-layer lookups over a mostly-cold
+        store stay cheap.
         """
         with self._lock:
             entities = {eid: tuple(m) for eid, m in self.entities().items()}
@@ -327,15 +381,3 @@ class ShardedEntityStore:
             }
             for shard in self._shards
         ]
-
-    # -- persistence ---------------------------------------------------------------
-
-    def to_state(self) -> dict:
-        """JSON snapshot in :meth:`EntityStore.to_state`'s schema (bulk path)."""
-        with self._lock:
-            return {
-                "id_attr": self.id_attr,
-                "records": self.records(),
-                "entities": {eid: list(m) for eid, m in self.entities().items()},
-                "next_ord": self._next_ord,
-            }

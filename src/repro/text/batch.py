@@ -428,12 +428,19 @@ def batch_tfidf_cosine_indexed(
     Each distinct bag is weighted (``tf · idf``) and normed once; pair dot
     products come from one sorted-key merge. Matches
     :func:`repro.text.similarity.tfidf_cosine` to float rounding (summation
-    order differs).
+    order differs). Token ids follow sorted token order, so every sum runs
+    in an order fixed by the pair's own bags: a pair scores bit-identically
+    whichever other pairs share its batch.
     """
     n = len(ua)
     if default_idf is None:
         default_idf = max(idf.values(), default=1.0)
-    vocab: dict = {}
+    tokens: set = set()
+    for bags in (bags_a, bags_b):
+        for bag in bags:
+            if bag is not None:
+                tokens.update(bag)
+    vocab = {t: i for i, t in enumerate(sorted(tokens))}
 
     def encode(bags):
         indptr = np.zeros(len(bags) + 1, dtype=np.int64)
@@ -441,11 +448,7 @@ def batch_tfidf_cosine_indexed(
         w_rows: list[np.ndarray] = []
         for u, bag in enumerate(bags):
             counts = Counter(bag) if bag is not None else {}
-            ids = np.fromiter(
-                (vocab.setdefault(t, len(vocab)) for t in counts),
-                dtype=np.int64,
-                count=len(counts),
-            )
+            ids = np.fromiter((vocab[t] for t in counts), dtype=np.int64, count=len(counts))
             weights = np.fromiter(
                 (tf * idf.get(t, default_idf) for t, tf in counts.items()),
                 dtype=np.float64,

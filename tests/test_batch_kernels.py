@@ -187,6 +187,19 @@ class TestBatchTfidf:
         col = batch_tfidf_cosine([[], [], None], [[], ["a"], ["a"]], {"a": 1.0})
         assert col[0] == 1.0 and col[1] == 0.0 and math.isnan(col[2])
 
+    def test_pair_score_independent_of_batch_composition(self):
+        """Chunked featurization (the worker pool) must not move a bit."""
+        rng = np.random.default_rng(17)
+        idf = {w: float(i % 7) + 0.5 for i, w in enumerate(_WORDS)}
+        a = [list(rng.choice(_WORDS, size=int(rng.integers(1, 9)))) for _ in range(120)]
+        b = [list(rng.choice(_WORDS, size=int(rng.integers(1, 9)))) for _ in range(120)]
+        whole = batch_tfidf_cosine(a, b, idf)
+        for start in range(0, 120, 7):
+            chunk = batch_tfidf_cosine(a[start : start + 7], b[start : start + 7], idf)
+            assert chunk.tobytes() == whole[start : start + 7].tobytes()
+        reversed_col = batch_tfidf_cosine(a[::-1], b[::-1], idf)
+        assert reversed_col[::-1].tobytes() == whole.tobytes()
+
 
 def _random_strings(rng, n, alphabet="abcdef ", lengths=(0, 1, 3, 5, 8)):
     out = []

@@ -3,8 +3,8 @@
 Acceptance bar for the blocking engine: on every fixture dataset, in both
 record-linkage and deduplication modes, the sparse engine emits the
 *bit-identical* candidate pair list (same pairs, same order) as the
-Counter-based reference — plus engine-knob plumbing through blocker,
-pipeline, and incremental index.
+Counter-based reference — plus engine-knob plumbing through blocker and
+pipeline.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.blocking import (
 from repro.blocking.batch import TokenEncoding, sparse_overlap_select
 from repro.data.benchmarks import BENCHMARK_NAMES, load_benchmark
 from repro.data.table import Table
-from repro.incremental.index import IncrementalTokenIndex
 from repro import ERPipeline
 
 #: Per-dataset blocking attribute (primary harness recipe).
@@ -146,34 +145,6 @@ class TestEdgeCases:
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("chunk_entries", [1, 64])
-    def test_small_chunks_exclusion_matches_single_pass(self, chunk_entries):
-        # exclude_cols is sliced per chunk: probing every indexed record
-        # against its own index exercises an exclusion in every chunk
-        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=2).as_dedup()
-        tokenizer = TokenOverlapBlocker("name").tokenizer
-        enc = TokenEncoding.encode(merged, tokenizer, "name")
-        exclude = np.arange(len(enc), dtype=np.int64)
-        exclude[::3] = -1  # and some probes with nothing to exclude
-        whole = sparse_overlap_select(
-            enc, enc, min_overlap=1, max_df=0.5, top_k=10, exclude_cols=exclude
-        )
-        chunked = sparse_overlap_select(
-            enc,
-            enc,
-            min_overlap=1,
-            max_df=0.5,
-            top_k=10,
-            exclude_cols=exclude,
-            chunk_entries=chunk_entries,
-        )
-        for a, b in zip(whole, chunked):
-            assert np.array_equal(a, b)
-        excluded_rows = np.flatnonzero(exclude >= 0)
-        rows, cols, _ = whole
-        hit = np.isin(rows, excluded_rows)
-        assert not np.any(rows[hit] == cols[hit])
-
     def test_engine_validation(self):
         with pytest.raises(ValueError, match="engine"):
             TokenOverlapBlocker("name", engine="turbo")
@@ -205,47 +176,6 @@ class TestPipelineAndKnobs:
     def test_pipeline_engine_validated(self):
         with pytest.raises(ValueError, match="engine"):
             ERPipeline(blocking_attribute="name", blocking_engine="turbo")
-
-
-class TestIncrementalSharing:
-    def _index(self, table):
-        index = IncrementalTokenIndex("name", min_overlap=1, top_k=10)
-        index.add(table)
-        return index
-
-    def test_candidates_batch_matches_per_record_probes(self):
-        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=8).as_dedup()
-        records = list(merged)
-        index = self._index(Table(records[:-10], attributes=merged.attributes))
-        probes = records[-10:]
-        batch = index.candidates_batch(probes)
-        assert batch == [index.candidates(rec) for rec in probes]
-
-    def test_candidates_batch_excludes_indexed_probe(self):
-        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=8).as_dedup()
-        index = self._index(merged)
-        probes = list(merged)[:6]
-        batch = index.candidates_batch(probes)
-        for rec, ranked in zip(probes, batch):
-            assert ranked == index.candidates(rec)
-            assert all(rid != rec["id"] for rid, _count in ranked)
-
-    def test_snapshot_invalidated_by_add(self):
-        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=8).as_dedup()
-        records = list(merged)
-        index = self._index(Table(records[:20], attributes=merged.attributes))
-        first = index.encoding()
-        assert index.encoding() is first  # cached
-        index.add(records[20:25])
-        assert index.encoding() is not first
-        probe = records[30]
-        assert index.candidates_batch([probe]) == [index.candidates(probe)]
-
-    def test_empty_index_and_empty_batch(self):
-        index = IncrementalTokenIndex("name")
-        assert index.candidates_batch([{"id": "x", "name": "a b"}]) == [[]]
-        index.add([{"id": "y", "name": "a b"}])
-        assert index.candidates_batch([]) == []
 
 
 class TestCandidateStatistics:

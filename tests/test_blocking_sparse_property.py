@@ -3,8 +3,7 @@
 Random token tables drawn from a tiny alphabet maximize collisions — shared
 tokens, ties, df-pruned stopwords — exactly the structure the kernel's
 thresholding/ranking/top-k logic has to get right. Every generated case
-asserts the bit-identical pair-list contract in both calling modes, plus
-the incremental index's batch probing path.
+asserts the bit-identical pair-list contract in both calling modes.
 """
 
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.blocking import TokenOverlapBlocker
 from repro.data.table import Table
-from repro.incremental.index import IncrementalTokenIndex
 
 #: Tiny token universe → dense overlap structure and frequent ties.
 _TOKENS = ("alpha", "beta", "gamma", "delta", "eps")
@@ -64,15 +62,6 @@ def test_linkage_parity(left, right, params):
 def test_dedup_parity(table, params):
     sparse, ref = _both(params)
     assert sparse.block(table) == ref.block(table)
-
-
-@settings(max_examples=75, deadline=None)
-@given(table=_table("t", min_rows=1), probes=st.lists(_value(), max_size=4), params=_params)
-def test_index_batch_parity(table, probes, params):
-    index = IncrementalTokenIndex("toks", **params)
-    index.add(table)
-    records = [{"id": f"p{i}", "toks": v} for i, v in enumerate(probes)]
-    assert index.candidates_batch(records) == [index.candidates(rec) for rec in records]
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,10 @@
-"""Tests for the incremental inverted token index."""
+"""Tests for the streaming inverted token index (:class:`ShardedTokenIndex`)."""
 
 import pytest
 
 from repro.blocking import AttributeEquivalenceBlocker, TokenOverlapBlocker
 from repro.data.table import Table
-from repro.incremental.index import IncrementalTokenIndex
+from repro.shard import ShardedTokenIndex
 from repro.text.tokenizers import (
     AlnumTokenizer,
     DelimiterTokenizer,
@@ -41,7 +41,7 @@ class TestIncrementalTokenIndex:
         blocker = TokenOverlapBlocker("name", min_overlap=1, top_k=3)
         batch_pairs = blocker.block(probes, restaurants)
 
-        index = IncrementalTokenIndex.from_blocker(blocker)
+        index = ShardedTokenIndex.from_blocker(blocker)
         index.add(restaurants)
         incremental_pairs = [
             (probe["id"], rid)
@@ -51,7 +51,7 @@ class TestIncrementalTokenIndex:
         assert incremental_pairs == batch_pairs
 
     def test_add_then_probe_grows(self, restaurants):
-        index = IncrementalTokenIndex("name", max_df=0.5)
+        index = ShardedTokenIndex("name", max_df=0.5)
         assert index.candidates({"id": "x", "name": "harbor grill"}) == []
         index.add(restaurants)
         assert len(index) == 5
@@ -60,47 +60,47 @@ class TestIncrementalTokenIndex:
         assert [rid for rid, _ in hits][:2] == ["r1", "r2"]
 
     def test_probe_excludes_itself_when_indexed(self, restaurants):
-        index = IncrementalTokenIndex("name")
+        index = ShardedTokenIndex("name")
         index.add(restaurants)
         hits = index.candidates(restaurants.get("r1"))
         assert "r1" not in [rid for rid, _ in hits]
 
     def test_min_overlap_filters(self, restaurants):
-        index = IncrementalTokenIndex("name", min_overlap=2, max_df=0.5)
+        index = ShardedTokenIndex("name", min_overlap=2, max_df=0.5)
         index.add(restaurants)
         hits = index.candidates({"id": "x", "name": "harbor grill"})
         # only r1/r2 share both tokens
         assert {rid for rid, _ in hits} == {"r1", "r2"}
 
     def test_top_k_override(self, restaurants):
-        index = IncrementalTokenIndex("name", max_df=0.5, top_k=10)
+        index = ShardedTokenIndex("name", max_df=0.5, top_k=10)
         index.add(restaurants)
         probe = {"id": "x", "name": "harbor view maple street sunset"}
         assert len(index.candidates(probe)) > 1
         assert len(index.candidates(probe, top_k=1)) == 1
 
     def test_df_pruning_tracks_index_size(self):
-        index = IncrementalTokenIndex("name", max_df=0.5)
+        index = ShardedTokenIndex("name", max_df=0.5)
         index.add([{"id": "a", "name": "common rare"}, {"id": "b", "name": "common other"}])
         # "common" is in 2/2 records > 50% → pruned at query time
         assert index.candidates({"id": "x", "name": "common"}) == []
         assert [rid for rid, _ in index.candidates({"id": "x", "name": "rare"})] == ["a"]
 
     def test_duplicate_add_raises(self, restaurants):
-        index = IncrementalTokenIndex("name")
+        index = ShardedTokenIndex("name")
         index.add(restaurants)
         with pytest.raises(ValueError, match="already indexed"):
             index.add([{"id": "r1", "name": "harbor view grill"}])
 
     def test_from_blocker_requires_token_overlap(self):
         with pytest.raises(TypeError, match="TokenOverlapBlocker"):
-            IncrementalTokenIndex.from_blocker(AttributeEquivalenceBlocker("city"))
+            ShardedTokenIndex.from_blocker(AttributeEquivalenceBlocker("city"))
 
     def test_params_round_trip(self, restaurants):
-        index = IncrementalTokenIndex(
+        index = ShardedTokenIndex(
             "name", tokenizer=QgramTokenizer(3), min_overlap=2, max_df=0.3, top_k=7
         )
-        rebuilt = IncrementalTokenIndex.from_params(index.params())
+        rebuilt = ShardedTokenIndex.from_params(index.params())
         rebuilt.add(restaurants)
         index.add(restaurants)
         probe = {"id": "x", "name": "harbor grill"}
@@ -108,11 +108,11 @@ class TestIncrementalTokenIndex:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_overlap"):
-            IncrementalTokenIndex("name", min_overlap=0)
+            ShardedTokenIndex("name", min_overlap=0)
         with pytest.raises(ValueError, match="max_df"):
-            IncrementalTokenIndex("name", max_df=0.0)
+            ShardedTokenIndex("name", max_df=0.0)
         with pytest.raises(ValueError, match="top_k"):
-            IncrementalTokenIndex("name", top_k=0)
+            ShardedTokenIndex("name", top_k=0)
 
 
 class TestTokenizerSpec:

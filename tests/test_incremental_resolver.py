@@ -164,7 +164,7 @@ class TestResolverConstruction:
             pipeline.freeze(threshold=1.5)
 
     def test_index_store_size_mismatch(self, fixture_tables):
-        from repro.incremental import IncrementalTokenIndex
+        from repro.shard import ShardedTokenIndex
 
         initial, _, _ = fixture_tables
         pipeline = ERPipeline(blocking_attribute="name")
@@ -174,7 +174,7 @@ class TestResolverConstruction:
             IncrementalResolver(
                 resolver.generator,
                 resolver.model,
-                IncrementalTokenIndex("name"),
+                ShardedTokenIndex("name"),
                 resolver.store,
             )
 

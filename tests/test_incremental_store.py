@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.incremental.store import EntityStore
+from repro.shard import ShardedEntityStore, ShardedTokenIndex, load_sharded_state, sharded_payload
+from repro.shard.artifacts import payload_meta, write_payload_files
 
 
-def _store_with(n: int) -> EntityStore:
-    store = EntityStore()
+def _store_with(n: int) -> ShardedEntityStore:
+    store = ShardedEntityStore()
     store.add_records({"id": f"r{i}", "name": f"record {i}"} for i in range(n))
     return store
 
@@ -62,24 +63,23 @@ class TestEntityStore:
         assert [r["id"] for r in store.records()] == ["r0", "r1"]
         assert "r0" in store and "zz" not in store
 
-    def test_state_round_trip_preserves_entity_ids(self):
+    def test_state_round_trip_preserves_entity_ids(self, tmp_path):
+        """The shard-container layout round-trips entity ids and keeps growing."""
         store = _store_with(6)
         store.merge("r0", "r3")
         store.merge("r4", "r5")
         store.merge("r1", "r4")
-        rebuilt = EntityStore.from_state(store.to_state())
+        index = ShardedTokenIndex("name")
+        index.add(store.records())
+        payload = sharded_payload(store, index)
+        write_payload_files(tmp_path, payload)
+        rebuilt, _ = load_sharded_state(
+            tmp_path, {"sharded": payload_meta(payload), "index": index.params()}
+        )
         assert rebuilt.entities() == store.entities()
-        assert len(rebuilt) == len(store)
+        assert rebuilt.records() == store.records()
         for rid in ("r0", "r1", "r2", "r5"):
             assert rebuilt.entity_of(rid) == store.entity_of(rid)
         # the rebuilt store keeps accepting new records and merges
         rebuilt.add({"id": "r6", "name": "record 6"})
         assert rebuilt.merge("r6", "r0") == store.entity_of("r0")
-
-    def test_state_is_json_serializable(self):
-        import json
-
-        store = _store_with(3)
-        store.merge("r0", "r1")
-        rebuilt = EntityStore.from_state(json.loads(json.dumps(store.to_state())))
-        assert rebuilt.entities() == store.entities()

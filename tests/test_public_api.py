@@ -10,12 +10,6 @@ def test_all_exports_resolve():
         assert getattr(repro, name) is not None, name
 
 
-def test_autoer_alias():
-    # the arXiv preprint's name for the same model (now a deprecated alias)
-    with pytest.warns(DeprecationWarning):
-        assert repro.AutoER is repro.ZeroER
-
-
 def test_version_present():
     assert repro.__version__
 
@@ -29,7 +23,7 @@ def test_subpackages_importable():
     import repro.eval
     import repro.features
     import repro.incremental
-    import repro.pipeline  # the deprecated shim module still imports cleanly
+    import repro.shard
     import repro.text
     import repro.utils  # noqa: F401
 
@@ -64,6 +58,24 @@ def test_readme_quickstart_names_exist():
     from repro import FeatureGenerator, ZeroER, load_benchmark  # noqa: F401
     from repro.blocking import TokenOverlapBlocker  # noqa: F401
     from repro.eval import precision_recall_f1  # noqa: F401
+
+
+def test_import_repro_is_warning_free():
+    # importing the package itself must not trip -W error::DeprecationWarning
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", "import repro"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_repro_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        repro.no_such_name
 
 
 def test_every_public_callable_has_docstring():

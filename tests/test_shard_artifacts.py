@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from reference_engine import reference_freeze, reference_resolve
 from repro.data.table import Table
 from repro.incremental import ArtifactError, IncrementalResolver
-from repro.incremental.artifacts import artifact_dir
+from repro.incremental.artifacts import artifact_dir, save_artifacts
 from repro.reliability.atomic import IntegrityError
 from repro import ERPipeline
 
@@ -76,7 +77,7 @@ class TestShardedLayout:
         root = tmp_path / "art"
         resolver.save(root)
         loaded = IncrementalResolver.load(root)
-        assert loaded.sharded
+        assert loaded.store.n_shards == loaded.index.n_shards == 4
         assert loaded.store.entities() == expected_entities
         assert len(loaded.index) == len(resolver.index)
         assert loaded.index.n_tokens == resolver.index.n_tokens
@@ -128,18 +129,18 @@ class TestIncrementalSaves:
     def test_resolver_stays_usable_after_save(self, fitted_pipeline, tmp_path):
         """rebase_after_save folds overlays into the new base without data loss."""
         resolver = fitted_pipeline.freeze(shards=4)
-        reference = fitted_pipeline.freeze(shards=1)
+        index, store = reference_freeze(fitted_pipeline)
         root = tmp_path / "art"
         batches = [_batch("s1-"), _batch("s2-", range(6, 12)), _batch("s3-", range(12, 18))]
-        out_sharded, out_classic = [], []
         for batch in batches:
-            out_sharded.append(resolver.resolve(batch))
+            ours = resolver.resolve(batch)
             resolver.save(root)  # rebase between every batch
-            out_classic.append(reference.resolve(batch))
-        for ours, ref in zip(out_sharded, out_classic):
-            assert ours.matches == ref.matches
-            np.testing.assert_array_equal(ours.scores, ref.scores)
-        assert resolver.store.entities() == reference.store.entities()
+            pairs, scores = reference_resolve(
+                fitted_pipeline.generator_, fitted_pipeline.model_, index, store, batch
+            )
+            assert ours.pairs == pairs
+            np.testing.assert_array_equal(ours.scores, scores)
+        assert resolver.store.entities() == store.entities()
 
 
 class TestLazyLoading:
@@ -194,6 +195,59 @@ class TestIntegrity:
             loaded.store.get(victim)
 
 
+def _legacy_artifact(pipeline, root):
+    """An artifact in the retired format: the store embedded in the manifest."""
+    resolver = pipeline.freeze()
+    records = resolver.store.records()
+    index_params = {k: v for k, v in resolver.index.params().items() if k != "n_shards"}
+    store_state = {
+        "id_attr": resolver.store.id_attr,
+        "records": records,
+        "entities": {eid: list(m) for eid, m in resolver.store.entities().items()},
+        "next_ord": len(records),
+    }
+    extra = {
+        "threshold": resolver.threshold,
+        "engine": resolver.engine,
+        "workers": 1,
+        "index": index_params,
+        "store": store_state,
+    }
+    save_artifacts(root, resolver.generator, resolver.model, extra={"resolver": extra})
+    return root
+
+
+class TestLegacyArtifacts:
+    """Artifacts written before the shard-container layout fail with a schema error."""
+
+    def test_load_fails_with_schema_error(self, fitted_pipeline, tmp_path):
+        root = _legacy_artifact(fitted_pipeline, tmp_path / "art")
+        manifest = _manifest(root)["extra"]["resolver"]
+        assert "store" in manifest and "sharded" not in manifest
+        with pytest.raises(ArtifactError, match="re-freeze") as info:
+            IncrementalResolver.load(root)
+        assert info.value.reason == "schema"
+
+    def test_serve_startup_fails_with_schema_error(self, fitted_pipeline, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.serve.state import ServingState
+
+        root = _legacy_artifact(fitted_pipeline, tmp_path / "art")
+        with pytest.raises(ArtifactError, match="re-freeze") as info:
+            ServingState(root).load()  # the first step of ServeApp.start
+        assert info.value.reason == "schema"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--artifacts", str(root), "--port", "0"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "re-freeze" in proc.stderr
+
+
 class TestServingSharded:
     def test_serving_state_loads_and_resolves_sharded_artifacts(
         self, fitted_pipeline, tmp_path
@@ -205,7 +259,7 @@ class TestServingSharded:
         fitted_pipeline.freeze(shards=4).save(root)
         state = ServingState(root)
         state.load()
-        assert state.resolver.sharded
+        assert state.resolver.store.n_shards == 4
         records = tuple(_batch("srv", range(3)))
         request = ResolveRequest(
             records=records, record_ids=tuple(r["id"] for r in records)

@@ -1,16 +1,17 @@
-"""Sharded-vs-unsharded parity on the six fixture benchmarks.
+"""Engine-vs-reference parity on the six fixture benchmarks.
 
-The acceptance bar for the sharded engine: for every fixture dataset
+The acceptance bar for the resolution engine: for every fixture dataset
 (linkage and dedup), any shard count, and workers 1 or 4, a resolve batch
 must produce bit-identical candidate pairs, scores, match sets, and stable
-entity ids to the classic single-process engine. One batch fit per dataset
-is shared across configurations (``freeze`` re-derives the frozen state,
-so each configuration still gets its own store/index).
+entity ids to the reference loop in ``reference_engine``. One batch fit per
+dataset is shared across configurations (``freeze`` re-derives the frozen
+state, so each configuration still gets its own store/index).
 """
 
 import numpy as np
 import pytest
 
+from reference_engine import reference_freeze, reference_resolve
 from repro.api.pipeline import ERPipeline
 from repro.blocking.overlap import TokenOverlapBlocker
 from repro.eval.harness import _BLOCKING, load_benchmark
@@ -45,21 +46,36 @@ def _held_out_batch(bench, n=25):
     return batch
 
 
-def _resolve_fingerprint(pipeline, bench, *, shards, workers):
+def _fingerprint(pairs, scores, store, record_ids, threshold=0.5):
+    assignments = {rid: store.entity_of(rid) for rid in record_ids}
+    return {
+        "pairs": pairs,
+        "scores": np.asarray(scores, dtype=np.float64).tobytes(),
+        "matches": [pair for pair, score in zip(pairs, scores) if score > threshold],
+        "assignments": assignments,
+        "entities": dict(store.entities()),
+        "clusters": set(store.clusters()),
+    }
+
+
+def _reference_fingerprint(pipeline, bench, batch=None):
+    batch = _held_out_batch(bench) if batch is None else batch
+    index, store = reference_freeze(pipeline, 0.5)
+    pairs, scores = reference_resolve(
+        pipeline.generator_, pipeline.model_, index, store, [dict(r) for r in batch]
+    )
+    return _fingerprint(pairs, scores, store, [r[bench.left.id_attr] for r in batch])
+
+
+def _engine_fingerprint(pipeline, bench, *, shards, workers, batch=None):
+    batch = _held_out_batch(bench) if batch is None else batch
     resolver = pipeline.freeze(0.5, shards=shards, workers=workers)
     try:
-        result = resolver.resolve(_held_out_batch(bench))
-        return {
-            "pairs": result.pairs,
-            "scores": result.scores.tobytes(),
-            "matches": result.matches,
-            "assignments": result.assignments,
-            "entities": {
-                rid: resolver.store.entity_of(rid) for rid in result.assignments
-            },
-            "clusters": set(resolver.store.clusters()),
-            "sharded": resolver.sharded,
-        }
+        result = resolver.resolve([dict(r) for r in batch])
+        fingerprint = _fingerprint(result.pairs, result.scores, resolver.store, result.record_ids)
+        assert fingerprint["matches"] == result.matches
+        assert fingerprint["assignments"] == result.assignments
+        return fingerprint
     finally:
         resolver.close()
 
@@ -67,42 +83,34 @@ def _resolve_fingerprint(pipeline, bench, *, shards, workers):
 @pytest.mark.parametrize("name", DATASETS)
 def test_sharded_resolve_is_bit_identical(name):
     pipeline, bench = _fitted(name)
-    reference = _resolve_fingerprint(pipeline, bench, shards=1, workers=1)
-    assert not reference["sharded"]
-    for shards in (2, 5, 16):
-        sharded = _resolve_fingerprint(pipeline, bench, shards=shards, workers=1)
-        assert sharded.pop("sharded")
-        reference_view = {k: v for k, v in reference.items() if k != "sharded"}
-        assert sharded == reference_view, f"{name} diverged at shards={shards}"
+    reference = _reference_fingerprint(pipeline, bench)
+    for shards in (1, 2, 5, 16):
+        engine = _engine_fingerprint(pipeline, bench, shards=shards, workers=1)
+        assert engine == reference, f"{name} diverged at shards={shards}"
 
 
-@pytest.mark.parametrize("name", ["rest_fz", "mv_ri"])
+@pytest.mark.parametrize("name", DATASETS)
 def test_worker_pool_is_bit_identical(name):
     """workers=4 featurizes in subprocesses; scores must not move a bit."""
     pipeline, bench = _fitted(name)
-    reference = _resolve_fingerprint(pipeline, bench, shards=1, workers=1)
-    parallel = _resolve_fingerprint(pipeline, bench, shards=3, workers=4)
-    assert parallel.pop("sharded")
-    assert parallel == {k: v for k, v in reference.items() if k != "sharded"}
+    reference = _reference_fingerprint(pipeline, bench)
+    assert _engine_fingerprint(pipeline, bench, shards=3, workers=4) == reference
 
 
-def test_shard_stats_only_on_sharded_engine():
+def test_shard_stats_on_every_resolve():
     pipeline, bench = _fitted("rest_fz")
-    classic = pipeline.freeze(0.5)
-    sharded = pipeline.freeze(0.5, shards=4)
-    try:
-        batch = _held_out_batch(bench, n=10)
-        assert classic.resolve(batch).shard_stats is None
-        result = sharded.resolve(batch)
-        stats = result.shard_stats
-        assert stats is not None
-        assert stats["n_shards"] == 4
-        assert stats["workers"] == 1
-        assert set(stats["index_shards_touched"]) <= set(range(4))
-        assert sum(stats["pairs_per_shard"].values()) == len(result.pairs)
-    finally:
-        classic.close()
-        sharded.close()
+    batch = _held_out_batch(bench, n=10)
+    for shards in (1, 4):
+        resolver = pipeline.freeze(0.5, shards=shards)
+        try:
+            result = resolver.resolve([dict(r) for r in batch])
+            stats = result.shard_stats
+            assert stats["n_shards"] == shards
+            assert stats["workers"] == 1
+            assert set(stats["index_shards_touched"]) <= set(range(shards))
+            assert sum(stats["pairs_per_shard"].values()) == len(result.pairs)
+        finally:
+            resolver.close()
 
 
 def test_mixed_batch_merges_match_reference():
@@ -115,14 +123,7 @@ def test_mixed_batch_merges_match_reference():
             break
         twins.append(dict(rec, **{id_attr: f"dup-a-{i}"}))
         twins.append(dict(rec, **{id_attr: f"dup-b-{i}"}))
-    classic = pipeline.freeze(0.5)
-    sharded = pipeline.freeze(0.5, shards=5)
-    try:
-        out_classic = classic.resolve(twins)
-        out_sharded = sharded.resolve(twins)
-        assert out_sharded.matches == out_classic.matches
-        np.testing.assert_array_equal(out_sharded.scores, out_classic.scores)
-        assert out_sharded.assignments == out_classic.assignments
-    finally:
-        classic.close()
-        sharded.close()
+    reference = _reference_fingerprint(pipeline, bench, batch=twins)
+    assert reference["matches"]
+    engine = _engine_fingerprint(pipeline, bench, shards=5, workers=1, batch=twins)
+    assert engine == reference

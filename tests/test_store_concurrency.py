@@ -1,10 +1,10 @@
-"""Concurrent EntityStore access: one writer, many snapshot readers.
+"""Concurrent entity-store access: one writer, many snapshot readers.
 
 The serving layer's contract is single-writer/snapshot-reader: resolve
 batches mutate the store from one worker thread while lookup/health
 endpoints read it from the event-loop thread. These tests hammer that
 contract directly — a writer thread adding and merging at full speed while
-reader threads pull :meth:`EntityStore.snapshot` views — and assert the
+reader threads pull :meth:`ShardedEntityStore.snapshot` views — and assert the
 two invariants the endpoints rely on:
 
 * **no torn reads** — every snapshot is a valid partition: each record
@@ -21,7 +21,7 @@ import threading
 
 import pytest
 
-from repro.incremental import EntityStore, StoreSnapshot
+from repro.shard import ShardedEntityStore, StoreSnapshot
 
 N_RECORDS = 400
 N_READERS = 4
@@ -52,7 +52,7 @@ def _ord_of(entity_id: str) -> int:
 class TestSnapshotUnderWriter:
     def test_writer_vs_snapshot_readers_stress(self):
         """Adds + merges racing snapshot reads never tear and never churn ids."""
-        store = EntityStore()
+        store = ShardedEntityStore()
         stop = threading.Event()
         failures: list[str] = []
         # rid -> smallest entity ord ever observed for it (monotone non-increasing)
@@ -108,7 +108,7 @@ class TestSnapshotUnderWriter:
 
     def test_concurrent_entity_of_while_merging(self):
         """Point reads (which path-compress) race merges without corruption."""
-        store = EntityStore()
+        store = ShardedEntityStore()
         for i in range(200):
             store.add(_record(i))
         stop = threading.Event()
@@ -148,7 +148,7 @@ class TestSnapshotUnderWriter:
 class TestSnapshotSemantics:
     def test_snapshot_is_immutable_and_detached(self):
         """A snapshot does not track later writes and cannot be mutated."""
-        store = EntityStore()
+        store = ShardedEntityStore()
         store.add(_record(0))
         store.add(_record(1))
         snap = store.snapshot()
@@ -161,7 +161,7 @@ class TestSnapshotSemantics:
             snap.assignments["r9"] = "e9"  # MappingProxyType rejects writes
 
     def test_snapshot_of_empty_store(self):
-        snap = EntityStore().snapshot()
+        snap = ShardedEntityStore().snapshot()
         assert snap.n_records == 0
         assert snap.n_entities == 0
         assert dict(snap.entities) == {}
