@@ -362,17 +362,14 @@ class ERPipeline:
         except (SpecError, TypeError):
             return None
 
-    def _fit_linkage(
-        self,
-        left,
-        right,
-        pairs,
-        generator,
-        X,
-        config: ZeroERConfig | None = None,
-        engine: str | None = None,
-    ) -> ZeroERLinkage:
-        config = config if config is not None else self.config
+    def _within_table_inputs(self, left, right, pairs, generator, engine: str | None = None):
+        """Inputs of the within-table models Fl/Fr: ``(left_pairs, X_left, right_pairs, X_right)``.
+
+        Within-table candidates are the cross candidates' co-candidates
+        (capped per anchor by ``co_candidate_cap``); a side without any gets
+        ``None`` features. They depend only on the candidate pairs and the
+        fitted generator, so a session derives them once per feature matrix.
+        """
         engine = engine if engine is not None else self.feature_engine
         left_pairs = co_candidate_pairs(pairs, side=0, cap=self.co_candidate_cap)
         right_pairs = co_candidate_pairs(pairs, side=1, cap=self.co_candidate_cap)
@@ -382,11 +379,17 @@ class ERPipeline:
         X_right = (
             generator.transform(right, None, right_pairs, engine=engine) if right_pairs else None
         )
-        model = ZeroERLinkage(config)
+        return left_pairs, X_left, right_pairs, X_right
+
+    def _fit_linkage(
+        self, pairs, X, feature_groups, within, config: ZeroERConfig | None = None
+    ) -> ZeroERLinkage:
+        left_pairs, X_left, right_pairs, X_right = within
+        model = ZeroERLinkage(config if config is not None else self.config)
         model.fit(
             X,
             pairs,
-            feature_groups=generator.feature_groups_,
+            feature_groups=feature_groups,
             X_left=X_left,
             left_pairs=left_pairs if X_left is not None else None,
             X_right=X_right,

@@ -14,7 +14,8 @@ Every artifact is cached on the session: calling a stage again without
 overrides returns the cached object, calling it with overrides (or
 ``force=True``) recomputes that stage and invalidates everything downstream.
 The payoff is cheap what-if iteration — ``session.match(kappa=0.4)``
-re-runs EM only, reusing the cached candidate set and feature matrix.
+re-runs EM only, reusing the cached candidate set and feature matrix (and,
+in linkage mode, the within-table pairs and features derived from them).
 
 The full chain reproduces ``ERPipeline.run()`` exactly: same pairs, same
 scores, same timing keys.
@@ -100,6 +101,9 @@ class FeatureMatrix:
     #: Wall-clock seconds spent fitting the generator + transforming.
     seconds: float
     session: "ResolutionSession" = field(repr=False)
+    #: Linkage Fl/Fr inputs derived from these features, built on the first
+    #: transitive match and reused by every re-match.
+    _within: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple:
@@ -345,14 +349,20 @@ class ResolutionSession:
                 transitivity=bool(effective.transitivity),
             ) as sp:
                 if self.right is not None and effective.transitivity:
+                    if features._within is None:
+                        features._within = self.pipeline._within_table_inputs(
+                            self.left,
+                            self.right,
+                            candidates.pairs,
+                            features.generator,
+                            engine=features.engine,
+                        )
                     model = self.pipeline._fit_linkage(
-                        self.left,
-                        self.right,
                         candidates.pairs,
-                        features.generator,
                         features.X,
+                        features.feature_groups,
+                        features._within,
                         config=effective,
-                        engine=features.engine,
                     )
                 else:
                     model = ZeroER(effective)

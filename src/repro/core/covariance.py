@@ -9,13 +9,15 @@ Implements the M-step statistics of the paper:
 
 The shared ``R`` does not depend on the posteriors, so it is computed once
 per fit, not once per EM iteration.
+
+Per-group covariances are slices of one ``d × d`` :func:`weighted_covariance`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.linalg import correlation_from_covariance
+from repro.utils.linalg import ROW_BLOCK, correlation_from_covariance
 
 __all__ = [
     "weighted_mean",
@@ -37,13 +39,19 @@ def weighted_covariance(X: np.ndarray, weights: np.ndarray, mean: np.ndarray) ->
     """Posterior-weighted sample covariance ``S_C`` (Equation 8).
 
     Uses the ``1/N_C`` normalization of the paper (maximum-likelihood, not
-    Bessel-corrected).
+    Bessel-corrected). The scatter is accumulated :data:`ROW_BLOCK` rows at
+    a time, centered on ``mean`` itself (not on a pooled mean), so a feature
+    that equals its component mean exactly keeps an exact-zero variance.
     """
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("weights sum to zero; cannot compute a weighted covariance")
-    diff = X - mean
-    return (weights[:, None] * diff).T @ diff / total
+    scatter = np.zeros((X.shape[1], X.shape[1]))
+    for start in range(0, X.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        diff = X[rows] - mean
+        scatter += (weights[rows, None] * diff).T @ diff
+    return scatter / total
 
 
 def pooled_correlation_blocks(X: np.ndarray, groups: list[list[int]]) -> list[np.ndarray]:
@@ -54,15 +62,9 @@ def pooled_correlation_blocks(X: np.ndarray, groups: list[list[int]]) -> list[np
     (unlabeled) dataset serves both classes. Zero-variance features get unit
     diagonal and zero off-diagonals.
     """
-    n = X.shape[0]
-    weights = np.full(n, 1.0)
-    blocks = []
-    for idx in groups:
-        sub = X[:, idx]
-        mean = weighted_mean(sub, weights)
-        cov = weighted_covariance(sub, weights, mean)
-        blocks.append(correlation_from_covariance(cov))
-    return blocks
+    weights = np.full(X.shape[0], 1.0)
+    cov = weighted_covariance(X, weights, weighted_mean(X, weights))
+    return [correlation_from_covariance(cov[np.ix_(idx, idx)]) for idx in groups]
 
 
 def rescale_to_correlation(block_cov: np.ndarray, correlation: np.ndarray) -> np.ndarray:

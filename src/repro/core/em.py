@@ -275,10 +275,12 @@ class EMRunner:
             if masses[c] < cfg.min_component_mass and self.params is not None:
                 distributions[c] = self.params.match if c == "M" else self.params.unmatch
                 continue
+            # one d × d scatter per component, centered on its own mean;
+            # each group's covariance block is a slice of it
+            scatter = weighted_covariance(self.X, w, means[c])
             blocks = []
             for g, idx in enumerate(self.groups):
-                sub = self.X[:, idx]
-                cov = weighted_covariance(sub, w, means[c][idx])
+                cov = scatter[np.ix_(idx, idx)]
                 if self._shared_correlation is not None:
                     cov = rescale_to_correlation(cov, self._shared_correlation[g])
                 blocks.append(apply_regularization(cov, penalty, idx))
@@ -510,6 +512,10 @@ class EMRunner:
                     )
                 if len(self._tail) > 1:
                     self.gamma = np.mean(np.stack(self._tail), axis=0)
+            # the window is loop state only: checkpoints were written inside
+            # the loop, and a finished runner (e.g. a staged linkage side that
+            # stays alive through F's fit) need not hold tail_window posteriors
+            self._tail.clear()
             sp.set(
                 n_iterations=self.history.n_iterations, converged=self.history.converged
             )

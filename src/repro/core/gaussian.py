@@ -2,18 +2,20 @@
 
 Feature grouping (paper §3.2) makes each class-conditional distribution a
 product of independent per-group Gaussians — equivalently one Gaussian with
-a block-diagonal covariance (Equation 10). The log-density therefore
-decomposes into a sum of small per-block log-densities, which is both the
-fast path and the numerically stable one.
+a block-diagonal covariance (Equation 10). Each block is factorized once,
+on first use, into one block-diagonal inverse Cholesky factor; a log
+density is then a single whitening matmul per row block
+(:class:`~repro.utils.linalg.BlockFactor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.utils.linalg import gaussian_logpdf
+from repro.utils.linalg import BlockFactor, factor_blocks
 
 __all__ = ["BlockDiagonalGaussian"]
 
@@ -30,6 +32,9 @@ class BlockDiagonalGaussian:
         Partition of ``range(d)`` into index lists (one per block).
     blocks:
         Per-group covariance matrices, aligned with ``groups``.
+
+    The blocks are factorized on first use and the factor is cached, so a
+    distribution is treated as immutable.
     """
 
     mean: np.ndarray
@@ -56,15 +61,24 @@ class BlockDiagonalGaussian:
     def n_features(self) -> int:
         return self.mean.shape[0]
 
-    def logpdf(self, X: np.ndarray) -> np.ndarray:
-        """Per-row log density: sum of per-block Gaussian log densities."""
+    @cached_property
+    def factor(self) -> BlockFactor:
+        """The blocks' factorization, computed once on first use."""
+        return factor_blocks(self.groups, self.blocks, self.n_features)
+
+    def _rows(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ValueError(f"X has {X.shape[1]} features, distribution has {self.n_features}")
-        total = np.zeros(X.shape[0])
-        for idx, block in zip(self.groups, self.blocks):
-            total += gaussian_logpdf(X[:, idx], self.mean[idx], block)
-        return total
+        return X
+
+    def logpdf(self, X: np.ndarray) -> np.ndarray:
+        """Per-row log density (the sum of the per-block log densities)."""
+        return self.factor.logpdf(self._rows(X), self.mean)
+
+    def group_logpdf(self, X: np.ndarray) -> np.ndarray:
+        """Per-row, per-group log densities ``(n, n_groups)``, aligned with ``groups``."""
+        return self.factor.group_logpdf(self._rows(X), self.mean)
 
     def covariance_matrix(self) -> np.ndarray:
         """The full ``d × d`` block-diagonal covariance (for inspection)."""

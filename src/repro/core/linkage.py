@@ -214,6 +214,7 @@ class ZeroERLinkage:
                     )
                 if len(cross._tail) > 1:
                     cross.gamma = np.mean(np.stack(cross._tail), axis=0)
+            cross._tail.clear()
             sp.set(n_iterations=history.n_iterations, converged=history.converged)
         if traced:
             emit_fit_metrics("F", history, cross.gamma)

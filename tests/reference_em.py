@@ -1,0 +1,141 @@
+"""Reference EM kernels: the parity oracle for the block-factored fast path.
+
+The production kernels factorize each component's covariance blocks once
+into one block-diagonal inverse factor and stream the E- and M-steps over
+row blocks (:class:`~repro.utils.linalg.BlockFactor`,
+:func:`~repro.core.covariance.weighted_covariance`). They are held to the
+plain per-block loops kept here:
+
+* :func:`reference_gaussian_logpdf` — factorize, gather the block's columns
+  and run one triangular solve, on every call;
+* :func:`reference_logpdf` — the sum of those over a distribution's blocks;
+* :func:`reference_m_step` — one weighted covariance per group and
+  component, each over freshly gathered ``n × |group|`` columns;
+* :func:`reference_pooled_correlation_blocks` — the shared ``R``, per group.
+
+:func:`reference_kernels` swaps them into :class:`~repro.core.em.EMRunner`
+and :class:`~repro.core.gaussian.BlockDiagonalGaussian` for the duration of
+a ``with`` block, so whole fits (pipelines, linkage, ablations) run on the
+oracle unchanged.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import scipy.linalg
+
+from repro.core import em
+from repro.core.covariance import rescale_to_correlation, weighted_mean
+from repro.core.em import EMRunner, MixtureParameters
+from repro.core.gaussian import BlockDiagonalGaussian
+from repro.core.regularization import apply_regularization, penalty_diagonal
+from repro.utils.linalg import correlation_from_covariance, robust_cholesky
+
+__all__ = [
+    "reference_gaussian_logpdf",
+    "reference_logpdf",
+    "reference_weighted_covariance",
+    "reference_pooled_correlation_blocks",
+    "reference_m_step",
+    "reference_kernels",
+]
+
+
+def reference_gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Log density of rows of ``X`` under ``N(mean, cov)``, factorized per call."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    mean = np.asarray(mean, dtype=np.float64)
+    d = mean.shape[0]
+    chol = robust_cholesky(cov)
+    diff = X - mean
+    z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
+    maha = np.sum(z * z, axis=0)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
+
+
+def reference_logpdf(dist: BlockDiagonalGaussian, X: np.ndarray) -> np.ndarray:
+    """Per-row log density: the sum of per-block Gaussian log densities."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != dist.n_features:
+        raise ValueError(f"X has {X.shape[1]} features, distribution has {dist.n_features}")
+    total = np.zeros(X.shape[0])
+    for idx, block in zip(dist.groups, dist.blocks):
+        total += reference_gaussian_logpdf(X[:, idx], dist.mean[idx], block)
+    return total
+
+
+def reference_weighted_covariance(
+    X: np.ndarray, weights: np.ndarray, mean: np.ndarray
+) -> np.ndarray:
+    """``S_C`` in one pass over freshly allocated ``n × d`` temporaries."""
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("weights sum to zero; cannot compute a weighted covariance")
+    diff = X - mean
+    return (weights[:, None] * diff).T @ diff / total
+
+
+def reference_pooled_correlation_blocks(X: np.ndarray, groups) -> list[np.ndarray]:
+    """The shared correlation ``R``, one mean and covariance per group."""
+    weights = np.full(X.shape[0], 1.0)
+    blocks = []
+    for idx in groups:
+        sub = X[:, idx]
+        mean = weighted_mean(sub, weights)
+        cov = reference_weighted_covariance(sub, weights, mean)
+        blocks.append(correlation_from_covariance(cov))
+    return blocks
+
+
+def reference_m_step(runner: EMRunner) -> MixtureParameters:
+    """:meth:`EMRunner.m_step` with one weighted covariance per group and component."""
+    cfg = runner.config
+    n = runner.X.shape[0]
+    weights = {"M": runner.gamma, "U": 1.0 - runner.gamma}
+    masses = {c: float(w.sum()) for c, w in weights.items()}
+
+    means: dict[str, np.ndarray] = {}
+    for c, w in weights.items():
+        if masses[c] < cfg.min_component_mass and runner.params is not None:
+            previous = runner.params.match if c == "M" else runner.params.unmatch
+            means[c] = previous.mean
+        else:
+            means[c] = weighted_mean(runner.X, np.maximum(w, 0.0) + 1e-300)
+
+    penalty = penalty_diagonal(cfg, means["M"], means["U"])
+
+    distributions: dict[str, BlockDiagonalGaussian] = {}
+    for c, w in weights.items():
+        if masses[c] < cfg.min_component_mass and runner.params is not None:
+            distributions[c] = runner.params.match if c == "M" else runner.params.unmatch
+            continue
+        blocks = []
+        for g, idx in enumerate(runner.groups):
+            sub = runner.X[:, idx]
+            cov = reference_weighted_covariance(sub, w, means[c][idx])
+            if runner._shared_correlation is not None:
+                cov = rescale_to_correlation(cov, runner._shared_correlation[g])
+            blocks.append(apply_regularization(cov, penalty, idx))
+        distributions[c] = BlockDiagonalGaussian(means[c], runner.groups, blocks)
+
+    prior = float(np.clip(masses["M"] / n, cfg.prior_floor, 1.0 - cfg.prior_floor))
+    runner.params = MixtureParameters(prior, distributions["M"], distributions["U"])
+    return runner.params
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Run every EM fit and density evaluation in the block on the oracle."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(BlockDiagonalGaussian, "logpdf", reference_logpdf))
+        stack.enter_context(mock.patch.object(EMRunner, "m_step", reference_m_step))
+        stack.enter_context(
+            mock.patch.object(
+                em, "pooled_correlation_blocks", reference_pooled_correlation_blocks
+            )
+        )
+        yield

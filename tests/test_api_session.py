@@ -6,6 +6,7 @@ import pytest
 from repro import ERPipeline, ERResult, ZeroERConfig, load_benchmark
 from repro.api import CandidateSet, FeatureMatrix, MatchSet
 from repro.blocking import AttributeEquivalenceBlocker
+from repro.features import FeatureGenerator
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,28 @@ class TestCachingAndOverrides:
         assert session.candidates_ is candidates, "re-match must not re-block"
         assert second.config.kappa == 0.6
         assert second is not first
+
+    def test_rematch_reuses_within_table_features(self, dataset, monkeypatch):
+        # the linkage Fl/Fr co-candidate pairs and their features depend only
+        # on the feature matrix: a re-match under another κ re-runs EM only
+        session = ERPipeline(blocking_attribute="name").session(dataset.left, dataset.right)
+        session.match()
+        calls = []
+        original = FeatureGenerator.transform
+
+        def counting_transform(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureGenerator, "transform", counting_transform)
+        rematched = session.match(kappa=0.4)
+        assert len(calls) == 0, "a re-match must not re-featurize within-table pairs"
+        monkeypatch.undo()
+
+        fresh = ERPipeline(
+            blocking_attribute="name", config=ZeroERConfig(kappa=0.4)
+        ).run(dataset.left, dataset.right)
+        _assert_result_equal(rematched.to_result(), fresh)
 
     def test_match_accepts_whole_config(self, dataset):
         from repro.core.model import ZeroER

@@ -86,6 +86,18 @@ class TestFitModes:
         assert model.right_scores_.shape == (len(pr),)
         assert model.left_scores_ is None
 
+    def test_staged_fit_releases_tail_windows(self):
+        # Fl and Fr finish their loops before F starts; their tail-averaging
+        # windows (up to tail_window posterior copies each) must not stay
+        # alive through F's fit, nor F's once the fit has returned
+        X, pairs, y, Xr, pr, yr = linkage_problem()
+        left_pairs = [(f"L{i}", f"L{i + 1}") for i in range(len(pr))]
+        model = ZeroERLinkage(ZeroERConfig(linkage_mode="staged"))
+        model.fit(X, pairs, X_left=Xr, left_pairs=left_pairs, X_right=Xr, right_pairs=pr)
+        for runner in (model._left, model._right, model._cross):
+            assert runner.history.n_iterations > 0
+            assert len(runner._tail) == 0, runner.name
+
     def test_within_model_finds_right_duplicates(self):
         X, pairs, y, Xr, pr, yr = linkage_problem()
         model = ZeroERLinkage().fit(X, pairs, X_right=Xr, right_pairs=pr)

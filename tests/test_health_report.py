@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import ERPipeline, ZeroER, ZeroERConfig
+from repro import ERPipeline, ZeroER, ZeroERConfig, load_benchmark
 from repro.core.exceptions import FeatureMatrixError, ZeroERError
+from repro.core.gaussian import BlockDiagonalGaussian
 from repro.data.table import Table
 from repro.obs import validate_report
 from repro.reliability import (
@@ -119,6 +120,39 @@ class TestDegradationSources:
         assert factor.shape == (3, 3)
         assert report.has(SINGULAR_COVARIANCE_FALLBACK)
         assert report[SINGULAR_COVARIANCE_FALLBACK].context["jitter"] > 0
+
+    def test_cached_factor_records_fallback_on_every_call(self):
+        # the blocks are factorized once, but every density evaluation
+        # re-records each jittered block, in whichever scope is active: two
+        # singular blocks and two calls make 4, in every scope
+        dist = BlockDiagonalGaussian(
+            np.zeros(5),
+            [[0, 1], [2, 3], [4]],
+            [np.ones((2, 2)), np.zeros((2, 2)), np.eye(1)],
+        )
+        X = np.random.default_rng(0).random((4, 5))
+        for _ in range(2):
+            with health_scope() as report:
+                dist.logpdf(X)
+                dist.logpdf(X)
+            assert report[SINGULAR_COVARIANCE_FALLBACK].count == 4
+
+    def test_frozen_model_flags_every_resolve_batch(self):
+        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=2).as_dedup()
+        records = list(merged)
+        base = Table(records[:-10], attributes=merged.attributes)
+        pipeline = ERPipeline(blocking_attribute="name")
+        pipeline.run(base)
+        resolver = pipeline.freeze()
+        params = resolver.model._runner.params
+        match = params.match
+        params.match = BlockDiagonalGaussian(
+            match.mean, match.groups, [np.zeros_like(match.blocks[0]), *match.blocks[1:]]
+        )
+        for batch in (records[-10:-5], records[-5:]):
+            result = resolver.resolve([dict(r) for r in batch])
+            assert result.pairs, "the batch must reach the model"
+            assert result.health.has(SINGULAR_COVARIANCE_FALLBACK)
 
     def test_all_nan_column_is_flagged_not_fatal(self):
         X = np.random.default_rng(0).random((20, 3))
