@@ -37,6 +37,9 @@ Kernel families:
   best-match/mean aggregation runs as dense ``(k, |A|, |B|)`` reductions
   per length bucket.
 
+Integer keys are deduplicated by sorting (``_sorted_unique``,
+``_unique_inverse``), never through numpy's hash-table ``unique``.
+
 Every kernel reproduces the scalar functions' conventions exactly:
 ``None`` → NaN, both-empty → 1.0, one-empty → 0.0. The set/edit measures
 are bit-identical to the scalar path; TF-IDF and Monge–Elkan match to
@@ -111,6 +114,53 @@ else:  # pragma: no cover - exercised only on numpy 1.x
 
 def _pair_positions(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``: one sort plus a neighbour mask.
+
+    Without a ``return_*`` argument, numpy ≥ 2.3 deduplicates through a
+    hash table and then sorts the result; on int64 keys one plain sort is
+    several times faster, and costs the same on every numpy version.
+    """
+    flat = np.sort(keys, axis=None)
+    if flat.size < 2:
+        return flat
+    keep = np.empty(flat.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for non-negative int64 keys.
+
+    Every key is packed with its position as ``(key << bits) | position``,
+    ``bits`` just wide enough for ``keys.size`` positions, so one sort of
+    plain int64 values orders the keys and carries each position along
+    (no argsort). The caller guarantees that ``keys.max() << bits`` fits in
+    int64. The packing happens in ``keys``' own buffer, so a contiguous
+    ``keys`` is overwritten; the inverse has its shape.
+    """
+    flat = keys.reshape(-1)
+    n = flat.size
+    if n == 0:
+        return flat.copy(), np.zeros(keys.shape, dtype=np.intp)
+    bits = (n - 1).bit_length()
+    flat <<= bits
+    flat |= np.arange(n, dtype=np.int64)
+    flat.sort()
+    ordered = flat >> bits
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    rank = np.cumsum(new, out=ordered)  # reuses the buffer: one n-array less
+    rank -= 1
+    flat &= (1 << bits) - 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[flat] = rank
+    return distinct, inverse.reshape(keys.shape)
 
 
 def _none_flags(values: Sequence) -> np.ndarray:
@@ -206,7 +256,7 @@ def _stats_from_flat(
         owner_u, ids_u = owner, ids
     else:
         # set semantics: drop within-record duplicates
-        keys = np.unique(owner * vocab_size + ids)
+        keys = _sorted_unique(owner * vocab_size + ids)
         owner_u = keys // vocab_size
         ids_u = keys % vocab_size
     sizes = np.bincount(owner_u, minlength=n_records)
@@ -304,9 +354,11 @@ def qgram_pair_stats_indexed(
     Reproduces :class:`repro.text.tokenizers.QgramTokenizer` semantics
     (lowercase, then ``#``/``$`` padding, then length-``q`` windows)
     entirely in numpy: every record's padded string becomes a row of
-    utf-32 code points, the sliding windows become a ``(N, q)`` uint32
-    matrix, and window identity is resolved with one :func:`numpy.unique`
-    over the raw window bytes. Requires ``padded=True`` or ``q == 1`` (the
+    utf-32 code points, each sliding window packs into one int64 (a
+    base-|alphabet| number over the corpus alphabet), and one sort of
+    ``(record, window)`` keys deduplicates windows per record. Only an
+    alphabet too large to pack falls back to :func:`numpy.unique` over the
+    raw ``(N, q)`` window bytes. Requires ``padded=True`` or ``q == 1`` (the
     unpadded short-string case tokenizes to the whole string, which has no
     windowed equivalent).
     """
@@ -353,7 +405,7 @@ def qgram_pair_stats_indexed(
         for i in range(q):
             win_vals *= base
             win_vals += char_ids[win_starts + i]
-        keys = np.unique(owner * window_space + win_vals)
+        keys = _sorted_unique(owner * window_space + win_vals)
         owner_u = keys // window_space
         vocab, ids_u = np.unique(keys % window_space, return_inverse=True)
         return _stats_from_flat(
@@ -782,11 +834,17 @@ def batch_monge_elkan_jw_indexed(
     """Batch symmetric Monge–Elkan with Jaro–Winkler inner similarity.
 
     Matches ``monge_elkan(a, b, inner=jaro_winkler, symmetric=True)`` to
-    float rounding. The inner similarity is evaluated once per *distinct*
-    token pair (via the batch Jaro–Winkler kernel); per-candidate-pair
-    aggregation runs as dense ``(k, |A|, |B|)`` max/mean reductions, with
-    pairs bucketed by token-count shape. Returns ``None`` (caller should
-    fall back) if the expansion exceeds the cell budget.
+    float rounding. Pairs are bucketed by token-count shape ``(|A|, |B|)``
+    and each bucket is walked in row chunks of at most
+    ``_MONGE_ELKAN_CHUNK_CELLS`` (pair, token, token) cells, twice: the
+    first pass sorts each chunk's token-pair keys for its distinct keys,
+    whose union is scored once with the batch Jaro–Winkler kernel; the
+    second packs every cell with its position into one int64, so one sort
+    per chunk yields the chunk's distinct keys and each cell's index among
+    them, and only those distinct keys are looked up in the global table.
+    Aggregation runs as dense ``(k, |A|, |B|)`` max/mean reductions.
+    Returns ``None`` (caller should fall back) if the expansion exceeds the
+    cell budget or a packed cell would overflow int64.
     """
     n = len(ua)
     vocab: dict = {}
@@ -818,7 +876,8 @@ def batch_monge_elkan_jw_indexed(
     lb = np.diff(indptr_b)[ub]
     missing = _none_flags(records_a)[ua] | _none_flags(records_b)[ub]
     valid = ~missing & (la > 0) & (lb > 0)
-    if int((la[valid] * lb[valid]).sum()) > _MONGE_ELKAN_CELL_BUDGET:
+    cells = la[valid] * lb[valid]
+    if int(cells.sum()) > _MONGE_ELKAN_CELL_BUDGET:
         return None
 
     out = np.zeros(n, dtype=np.float64)
@@ -829,6 +888,11 @@ def batch_monge_elkan_jw_indexed(
     valid_idx = np.flatnonzero(valid)
     if not len(valid_idx):
         return out
+    # A chunk holds at most max(cap, largest |A|·|B|) cells, each packed as
+    # (key << bits) | position with key < vocab²; refuse what int64 can't hold.
+    bits = (max(_MONGE_ELKAN_CHUNK_CELLS, int(cells.max())) - 1).bit_length()
+    if vocab_size * vocab_size << bits > 1 << 63:
+        return None
 
     # Bucket valid pairs by (|A|, |B|) so each bucket is a dense
     # (k, |A|, |B|) block, processed in row chunks to bound the transient
@@ -849,11 +913,11 @@ def batch_monge_elkan_jw_indexed(
             yield s, s + chunk, A[:, :, None] * vocab_size + B[:, None, :]
 
     bucket_keys = [
-        np.unique(keys)
+        _sorted_unique(keys)
         for (ka, kb), _rows, starts_a, starts_b in bucket_members
         for _s, _e, keys in chunked_keys(ka, kb, starts_a, starts_b)
     ]
-    unique_keys = np.unique(np.concatenate(bucket_keys))
+    unique_keys = _sorted_unique(np.concatenate(bucket_keys))
     tokens = list(vocab)
     inner_a = unique_keys // vocab_size
     inner_b = unique_keys % vocab_size
@@ -861,7 +925,8 @@ def batch_monge_elkan_jw_indexed(
 
     for (ka, kb), rows, starts_a, starts_b in bucket_members:
         for s, e, keys in chunked_keys(ka, kb, starts_a, starts_b):
-            sims = jw_table[np.searchsorted(unique_keys, keys)]
+            distinct, inverse = _unique_inverse(keys)
+            sims = jw_table[np.searchsorted(unique_keys, distinct)][inverse]
             forward = sims.max(axis=2).mean(axis=1)
             backward = sims.max(axis=1).mean(axis=1)
             out[rows[s:e]] = 0.5 * (forward + backward)
