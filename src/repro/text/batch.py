@@ -28,10 +28,14 @@ Kernel families:
   normed once at the record level; pair dot products come from one
   sorted-key merge.
 * **Edit measures** — Levenshtein and Jaro–Winkler deduplicate value
-  combinations, short-circuit equal/empty cases, and bucket the remainder
-  by ``(len(a), len(b))`` so the dynamic programs run vectorized across all
-  string pairs of a bucket (strings become contiguous uint32 code matrices
-  via the same utf-32 encoding the scalar kernels use).
+  combinations, short-circuit equal/empty cases, and group the remainder
+  into *length classes*: the exact ``(len(a), len(b))`` buckets, walked in
+  sorted order, merge while a class stays within ``_EDIT_CLASS_CELLS``
+  cells, and each class runs one dynamic program vectorized across its
+  pairs. Strings become uint32 code matrices via the same utf-32 encoding
+  the scalar kernels use; a merged class pads each side with its own
+  code above U+10FFFF, which matches nothing, and a class of one exact
+  bucket takes no padding at all.
 * **Monge–Elkan** — token pairs are deduplicated across the whole batch
   and scored once with the batch Jaro–Winkler kernel; the per-pair
   best-match/mean aggregation runs as dense ``(k, |A|, |B|)`` reductions
@@ -54,8 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.text.similarity import jaro_winkler, levenshtein_distance
-
 __all__ = [
     "TokenPairStats",
     "token_pair_stats",
@@ -77,10 +79,15 @@ __all__ = [
 
 _NAN = float("nan")
 
-#: Value-combination buckets smaller than this fall back to the scalar edit
-#: kernels: the vectorized DP's per-bucket setup costs more than a handful
-#: of scalar calls.
-_MIN_VECTOR_BUCKET = 4
+#: Cell budget of one edit-kernel class: neighbouring exact ``(|a|, |b|)``
+#: length buckets merge into one padded, masked DP while the class's
+#: ``k · max|a| · max|b|`` stays within it, so a batch of many small
+#: buckets pays one vectorized pass per class rather than one per bucket.
+_EDIT_CLASS_CELLS = 262_144
+
+#: Code-matrix padding of the two sides of an edit class: above U+10FFFF
+#: and different from each other, so a padded cell matches nothing.
+_PAD_A, _PAD_B = 0xFFFFFFFF, 0xFFFFFFFE
 
 #: Cap on dense bitmask width (bits per record) for token intersections.
 #: Tokens ranked beyond the cap go through the sorted-merge tail.
@@ -93,7 +100,8 @@ _MONGE_ELKAN_CELL_BUDGET = 60_000_000
 
 #: Rows of a Monge–Elkan bucket are processed in chunks of at most this
 #: many (pair, token_a, token_b) cells, capping the transient int64/float64
-#: intermediates at ~50 MB regardless of batch size.
+#: intermediates at ~50 MB regardless of batch size; a single pair over the
+#: cap is split into blocks of its A-token rows.
 _MONGE_ELKAN_CHUNK_CELLS = 2_000_000
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -387,7 +395,7 @@ def qgram_pair_stats_indexed(
             len(all_strings), 0, none, ua, ub,
         )
     codes = np.frombuffer(
-        "".join(s for s in prepared if s).encode("utf-32-le"), dtype=np.uint32
+        "".join(s for s in prepared if s).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
     starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
     owner = np.repeat(np.arange(len(all_strings), dtype=np.int64), n_windows)
@@ -569,11 +577,22 @@ def batch_tfidf_cosine(
 # Edit measures
 # ---------------------------------------------------------------------------
 
-def _codes(strings: Sequence[str], length: int) -> np.ndarray:
-    """Stack equal-length strings into a (k, length) uint32 code-point matrix."""
+def _codes(strings: Sequence[str], lengths: np.ndarray, pad: int) -> np.ndarray:
+    """Stack strings into a (k, max length) uint32 code-point matrix.
+
+    Rows shorter than the widest are filled out with ``pad``; when every
+    string has the full width the matrix is a plain reshape. Lone
+    surrogates encode as their own code unit, so codes compare as Python
+    characters compare.
+    """
+    width = int(lengths.max())
     joined = "".join(strings)
-    flat = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-    return flat.reshape(len(strings), length)
+    flat = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    if len(flat) == len(strings) * width:
+        return flat.reshape(len(strings), width)
+    codes = np.full((len(strings), width), pad, dtype=np.uint32)
+    codes[np.arange(width) < lengths[:, None]] = flat
+    return codes
 
 
 class _StringValues:
@@ -613,6 +632,21 @@ def _unique_combos(
     return combos // n_b, combos % n_b, inverse, missing
 
 
+def _combo_strings(
+    vals_a: _StringValues, cva: np.ndarray, vals_b: _StringValues, cvb: np.ndarray
+) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Each combo's two strings and lengths, and which combos are equal."""
+    strs_a = [vals_a.values[i] for i in cva.tolist()]
+    strs_b = [vals_b.values[i] for i in cvb.tolist()]
+    if vals_b is vals_a:  # one value table: equal strings share one id
+        equal = cva == cvb
+    else:
+        equal = np.fromiter(
+            (x == y for x, y in zip(strs_a, strs_b)), dtype=bool, count=len(cva)
+        )
+    return strs_a, strs_b, vals_a.lengths[cva], vals_b.lengths[cvb], equal
+
+
 def _scatter_combos(
     combo_values: np.ndarray, inverse: np.ndarray, missing: np.ndarray
 ) -> np.ndarray:
@@ -621,20 +655,53 @@ def _scatter_combos(
     return out
 
 
-def _length_buckets(la: np.ndarray, lb: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Group indices by exact length pair (vectorized, no per-item python loop)."""
+def _length_runs(
+    la: np.ndarray, lb: np.ndarray
+) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
+    """Indices sorted by exact length pair, as runs of one ``(la, lb)`` each.
+
+    Returns ``(order, bounds, lengths)``: run ``r`` is
+    ``order[bounds[r]:bounds[r + 1]]`` and has length pair ``lengths[r]``,
+    runs in ascending ``(la, lb)`` order.
+    """
     if not len(la):
-        return {}
+        return np.zeros(0, dtype=np.int64), [0], []
     cap = int(lb.max()) + 1
     keys = la * cap + lb
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_keys)) + 1))
-    groups = np.split(order, starts[1:])
-    return {
-        (int(sorted_keys[s] // cap), int(sorted_keys[s] % cap)): g
-        for s, g in zip(starts, groups)
-    }
+    lengths = [divmod(key, cap) for key in sorted_keys[starts].tolist()]
+    return order, [*starts.tolist(), len(order)], lengths
+
+
+def _length_buckets(la: np.ndarray, lb: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Group indices by exact length pair (vectorized, no per-item python loop)."""
+    order, bounds, lengths = _length_runs(la, lb)
+    return {pair: order[s:e] for pair, s, e in zip(lengths, bounds, bounds[1:])}
+
+
+def _length_classes(la: np.ndarray, lb: np.ndarray) -> list[np.ndarray]:
+    """Merge the exact ``(la, lb)`` buckets into padded classes.
+
+    Buckets are walked in their sorted order; a class grows while
+    ``k · max(la) · max(lb)`` stays within ``_EDIT_CLASS_CELLS``, and a
+    bucket already over it is a class of its own. Each class lists its
+    indices bucket by bucket, so its rows are sorted by ``la``.
+    """
+    order, bounds, lengths = _length_runs(la, lb)
+    classes: list[np.ndarray] = []
+    first = width_b = 0  # the open class is order[first:start]
+    for (length_a, length_b), start, end in zip(lengths, bounds, bounds[1:]):
+        # runs ascend in la, so this run's length_a is the grown class's widest
+        grown = (end - first) * length_a * max(width_b, length_b)
+        if start > first and grown > _EDIT_CLASS_CELLS:
+            classes.append(order[first:start])
+            first, width_b = start, 0
+        width_b = max(width_b, length_b)
+    if len(order):
+        classes.append(order[first:])
+    return classes
 
 
 def batch_levenshtein_similarity_indexed(
@@ -642,25 +709,19 @@ def batch_levenshtein_similarity_indexed(
 ) -> np.ndarray:
     """Batch normalized Levenshtein similarity over record-indexed pairs.
 
-    Distinct value combinations are bucketed by (longer, shorter) length;
-    each bucket runs the same prefix-minimum DP as the scalar kernel,
-    vectorized across the bucket's pairs. Distances are integers, so
-    results are bit-identical to
+    Distinct value combinations are oriented longer-first and bucketed by
+    (longer, shorter) length; neighbouring buckets merge into padded
+    classes (``_length_classes``), and each class runs the scalar kernel's
+    prefix-minimum DP vectorized across its pairs. Distances are integers,
+    so results are bit-identical to
     :func:`repro.text.similarity.levenshtein_similarity`.
     """
     vals_a = _StringValues(records_a)
     vals_b = vals_a if records_b is records_a else _StringValues(records_b)
     cva, cvb, inverse, missing = _unique_combos(vals_a, ua, vals_b, ub)
-    m = len(cva)
-    sims = np.empty(m, dtype=np.float64)
-    if m:
-        strs_a = [vals_a.values[i] for i in cva]
-        strs_b = [vals_b.values[i] for i in cvb]
-        la = vals_a.lengths[cva]
-        lb = vals_b.lengths[cvb]
-        equal = np.fromiter(
-            (x == y for x, y in zip(strs_a, strs_b)), dtype=bool, count=m
-        )
+    sims = np.empty(len(cva), dtype=np.float64)
+    if len(cva):
+        strs_a, strs_b, la, lb, equal = _combo_strings(vals_a, cva, vals_b, cvb)
         # orient every combo longer-first (distance is symmetric)
         swap = la < lb
         long_strs = [b if s else a for a, b, s in zip(strs_a, strs_b, swap)]
@@ -669,18 +730,15 @@ def batch_levenshtein_similarity_indexed(
         l_short = np.where(swap, la, lb)
         sims[equal] = 1.0  # covers both-empty
         sims[~equal & (l_short == 0)] = 0.0  # distance == longest → 0
-        todo = ~equal & (l_short > 0)
-        for (length_long, length_short), members in _length_buckets(
-            l_long[todo], l_short[todo]
-        ).items():
-            members = np.flatnonzero(todo)[members]
-            if len(members) < _MIN_VECTOR_BUCKET:
-                for u in members:
-                    sims[u] = 1.0 - levenshtein_distance(long_strs[u], short_strs[u]) / length_long
-                continue
-            A = _codes([long_strs[u] for u in members], length_long)
-            B = _codes([short_strs[u] for u in members], length_short)
-            sims[members] = 1.0 - _bucket_levenshtein(A, B) / length_long
+        todo = np.flatnonzero(~equal & (l_short > 0))
+        for members in _length_classes(l_long[todo], l_short[todo]):
+            members = todo[members]
+            length_long, length_short = l_long[members], l_short[members]
+            rows = members.tolist()
+            A = _codes([long_strs[u] for u in rows], length_long, _PAD_A)
+            B = _codes([short_strs[u] for u in rows], length_short, _PAD_B)
+            distance = _class_levenshtein(A, B, length_long, length_short)
+            sims[members] = 1.0 - distance / length_long
     return _scatter_combos(sims, inverse, missing)
 
 
@@ -692,26 +750,39 @@ def batch_levenshtein_similarity(strings_a: Sequence, strings_b: Sequence) -> np
     return batch_levenshtein_similarity_indexed(strings_a, idx, strings_b, idx)
 
 
-def _bucket_levenshtein(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Levenshtein distances for a (k, la) × (k, lb) bucket, la ≥ lb.
+def _class_levenshtein(
+    A: np.ndarray, B: np.ndarray, l_long: np.ndarray, l_short: np.ndarray
+) -> np.ndarray:
+    """Levenshtein distances of one edit class, rows sorted by ``l_long``.
 
-    The scalar kernel's prefix-minimum recurrence, run over all k pairs at
-    once: each of the la steps does O(k·lb) numpy work.
+    The scalar kernel's prefix-minimum recurrence, run over all the class's
+    pairs at once: step ``i`` consumes column ``i`` of ``A`` and does
+    O(k·width(B)) numpy work. A row's distance is ``prev[r, l_short[r]]``
+    after its ``l_long[r]`` steps; DP columns never feed the columns before
+    them, so ``B``'s padding cannot change it. Finished rows are a prefix
+    of the class and drop out of the later steps.
     """
-    k, la = A.shape
-    lb = B.shape[1]
-    offsets = np.arange(lb + 1, dtype=np.float64)
+    k, steps = A.shape
+    offsets = np.arange(B.shape[1] + 1, dtype=np.float64)
     prev = np.tile(offsets, (k, 1))
     row = np.empty_like(prev)
-    for i in range(la):
-        cost = (B != A[:, i : i + 1]).astype(np.float64)
-        row[:, 0] = i + 1
-        row[:, 1:] = np.minimum(prev[:, 1:] + 1.0, prev[:, :-1] + cost)
-        row -= offsets
-        np.minimum.accumulate(row, axis=1, out=row)
-        row += offsets
+    out = np.empty(k, dtype=np.float64)
+    finished = np.searchsorted(l_long, np.arange(1, steps + 1), side="right")
+    first = 0  # rows [first, k) are still running
+    for i in range(steps):
+        p, r = prev[first:], row[first:]
+        cost = B[first:] != A[first:, i : i + 1]  # adds to float64 as 0.0/1.0
+        r[:, 0] = i + 1
+        np.minimum(p[:, 1:] + 1.0, p[:, :-1] + cost, out=r[:, 1:])
+        r -= offsets
+        np.minimum.accumulate(r, axis=1, out=r)
+        r += offsets
         prev, row = row, prev
-    return prev[:, lb]
+        done = finished[i]
+        if done > first:
+            out[first:done] = prev[np.arange(first, done), l_short[first:done]]
+            first = done
+    return out
 
 
 def batch_jaro_winkler_indexed(
@@ -725,39 +796,29 @@ def batch_jaro_winkler_indexed(
 ) -> np.ndarray:
     """Batch Jaro–Winkler over record-indexed pairs.
 
-    Same dedup/short-circuit/bucket scheme as the Levenshtein kernel; the
+    Same dedup/short-circuit/class scheme as the Levenshtein kernel; the
     greedy match loop runs one character position at a time across the
-    whole bucket, with the transposition count recovered from the match
-    masks in one pass. Bit-identical to the scalar kernel.
+    whole class, with the transposition count recovered from the match
+    masks in one pass. Padding stops the Winkler prefix by itself, since a
+    padded cell equals nothing. Bit-identical to the scalar kernel.
     """
     vals_a = _StringValues(records_a)
     vals_b = vals_a if records_b is records_a else _StringValues(records_b)
     cva, cvb, inverse, missing = _unique_combos(vals_a, ua, vals_b, ub)
-    m = len(cva)
-    sims = np.empty(m, dtype=np.float64)
-    if m:
-        strs_a = [vals_a.values[i] for i in cva]
-        strs_b = [vals_b.values[i] for i in cvb]
-        la = vals_a.lengths[cva]
-        lb = vals_b.lengths[cvb]
-        equal = np.fromiter(
-            (x == y for x, y in zip(strs_a, strs_b)), dtype=bool, count=m
-        )
+    sims = np.empty(len(cva), dtype=np.float64)
+    if len(cva):
+        strs_a, strs_b, la, lb, equal = _combo_strings(vals_a, cva, vals_b, cvb)
         sims[equal] = 1.0
         sims[~equal & ((la == 0) | (lb == 0))] = 0.0
-        todo = ~equal & (la > 0) & (lb > 0)
-        for (length_a, length_b), members in _length_buckets(la[todo], lb[todo]).items():
-            members = np.flatnonzero(todo)[members]
-            if len(members) < _MIN_VECTOR_BUCKET:
-                for u in members:
-                    sims[u] = jaro_winkler(
-                        strs_a[u], strs_b[u], prefix_weight=prefix_weight, max_prefix=max_prefix
-                    )
-                continue
-            A = _codes([strs_a[u] for u in members], length_a)
-            B = _codes([strs_b[u] for u in members], length_b)
-            base = _bucket_jaro(A, B)
-            pmax = min(max_prefix, length_a, length_b)
+        todo = np.flatnonzero(~equal & (la > 0) & (lb > 0))
+        for members in _length_classes(la[todo], lb[todo]):
+            members = todo[members]
+            length_a, length_b = la[members], lb[members]
+            rows = members.tolist()
+            A = _codes([strs_a[u] for u in rows], length_a, _PAD_A)
+            B = _codes([strs_b[u] for u in rows], length_b, _PAD_B)
+            base = _class_jaro(A, B, length_a, length_b)
+            pmax = min(max_prefix, A.shape[1], B.shape[1])
             if pmax > 0:
                 lead = np.cumprod(A[:, :pmax] == B[:, :pmax], axis=1)
                 prefix = lead.sum(axis=1).astype(np.float64)
@@ -783,41 +844,54 @@ def batch_jaro_winkler(
     )
 
 
-def _bucket_jaro(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Jaro similarities for a (k, la) × (k, lb) bucket (no empty strings)."""
-    k, la = A.shape
-    lb = B.shape[1]
-    window = max(la, lb) // 2 - 1
-    if window < 0:
-        window = 0
-    matched_a = np.zeros((k, la), dtype=bool)
-    matched_b = np.zeros((k, lb), dtype=bool)
-    for i in range(la):
+def _class_jaro(A: np.ndarray, B: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Jaro similarities of one edit class (no empty strings), rows sorted by ``la``.
+
+    Each row keeps its own match window ``max(la, lb) // 2 - 1``: the loop
+    scans the class's widest window and masks ``|j - i|`` per row, but only
+    when the windows differ. Padded cells never match, so a row takes no
+    part in the steps past its own ``la``.
+    """
+    k, width_a = A.shape
+    width_b = B.shape[1]
+    windows = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    window = int(windows.max())
+    # |j - i| over the widest window, sliced per step when windows differ
+    reach = np.abs(np.arange(-window, window + 1)) if int(windows.min()) < window else None
+    running = np.searchsorted(la, np.arange(width_a), side="right").tolist()
+    matched_a = np.zeros((k, width_a), dtype=bool)
+    free_b = np.ones((k, width_b), dtype=bool)
+    for i in range(width_a):
         lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
+        hi = min(width_b, i + window + 1)
         if lo >= hi:
             continue
         # the scalar kernel's greedy rule: first not-yet-matched position of
-        # b inside the window whose character equals a[i]
-        cand = (B[:, lo:hi] == A[:, i : i + 1]) & ~matched_b[:, lo:hi]
+        # b inside the window whose character equals a[i]; rows [s, k) still
+        # have a character at i
+        s = running[i]
+        cand = B[s:, lo:hi] == A[s:, i : i + 1]
+        cand &= free_b[s:, lo:hi]
+        if reach is not None:
+            cand &= reach[lo - i + window : hi - i + window] <= windows[s:, None]
         hit = cand.any(axis=1)
         if not hit.any():
             continue
         first = cand.argmax(axis=1) + lo
         rows = np.flatnonzero(hit)
-        matched_b[rows, first[rows]] = True
-        matched_a[rows, i] = True
+        free_b[rows + s, first[rows]] = False
+        matched_a[rows + s, i] = True
     m = matched_a.sum(axis=1).astype(np.float64)
     # transpositions: matched characters of each side, in order, compared
     # elementwise (per pair both sides have the same match count)
     ra, ca = np.nonzero(matched_a)
-    rb, cb = np.nonzero(matched_b)
+    rb, cb = np.nonzero(~free_b)
     mismatch = (A[ra, ca] != B[rb, cb]).astype(np.float64)
     trans = np.floor(np.bincount(ra, weights=mismatch, minlength=k) / 2.0)
     out = np.zeros(k, dtype=np.float64)
     nz = m > 0
     mm, tt = m[nz], trans[nz]
-    out[nz] = (mm / la + mm / lb + (mm - tt) / mm) / 3.0
+    out[nz] = (mm / la[nz] + mm / lb[nz] + (mm - tt) / mm) / 3.0
     return out
 
 
@@ -836,7 +910,8 @@ def batch_monge_elkan_jw_indexed(
     Matches ``monge_elkan(a, b, inner=jaro_winkler, symmetric=True)`` to
     float rounding. Pairs are bucketed by token-count shape ``(|A|, |B|)``
     and each bucket is walked in row chunks of at most
-    ``_MONGE_ELKAN_CHUNK_CELLS`` (pair, token, token) cells, twice: the
+    ``_MONGE_ELKAN_CHUNK_CELLS`` (pair, token, token) cells (a pair over
+    the cap alone, in blocks of its A-token rows), twice: the
     first pass sorts each chunk's token-pair keys for its distinct keys,
     whose union is scored once with the batch Jaro–Winkler kernel; the
     second packs every cell with its position into one int64, so one sort
@@ -905,17 +980,21 @@ def batch_monge_elkan_jw_indexed(
 
     def chunked_keys(ka, kb, starts_a, starts_b):
         # token-id matrices are re-gathered per chunk (never retained), so
-        # the transient (chunk, ka, kb) intermediates stay within the cap
+        # the transient (chunk, rows, kb) intermediates stay within the cap;
+        # a pair over the cap alone is split into blocks of its A-token rows
         chunk = max(1, _MONGE_ELKAN_CHUNK_CELLS // (ka * kb))
+        block = max(1, _MONGE_ELKAN_CHUNK_CELLS // kb)
         for s in range(0, len(starts_a), chunk):
-            A = tok_a[starts_a[s : s + chunk, None] + np.arange(ka, dtype=np.int64)]
             B = tok_b[starts_b[s : s + chunk, None] + np.arange(kb, dtype=np.int64)]
-            yield s, s + chunk, A[:, :, None] * vocab_size + B[:, None, :]
+            for r in range(0, ka, block):
+                tokens_a = np.arange(r, min(r + block, ka), dtype=np.int64)
+                A = tok_a[starts_a[s : s + chunk, None] + tokens_a]
+                yield s, s + chunk, r, A[:, :, None] * vocab_size + B[:, None, :]
 
     bucket_keys = [
         _sorted_unique(keys)
         for (ka, kb), _rows, starts_a, starts_b in bucket_members
-        for _s, _e, keys in chunked_keys(ka, kb, starts_a, starts_b)
+        for _s, _e, _r, keys in chunked_keys(ka, kb, starts_a, starts_b)
     ]
     unique_keys = _sorted_unique(np.concatenate(bucket_keys))
     tokens = list(vocab)
@@ -924,12 +1003,20 @@ def batch_monge_elkan_jw_indexed(
     jw_table = batch_jaro_winkler_indexed(tokens, inner_a, tokens, inner_b)
 
     for (ka, kb), rows, starts_a, starts_b in bucket_members:
-        for s, e, keys in chunked_keys(ka, kb, starts_a, starts_b):
+        for s, e, r, keys in chunked_keys(ka, kb, starts_a, starts_b):
             distinct, inverse = _unique_inverse(keys)
             sims = jw_table[np.searchsorted(unique_keys, distinct)][inverse]
-            forward = sims.max(axis=2).mean(axis=1)
-            backward = sims.max(axis=1).mean(axis=1)
-            out[rows[s:e]] = 0.5 * (forward + backward)
+            # forward: the mean of every A token's best match; backward: of
+            # every B token's, a running max over the row blocks
+            if r == 0:
+                row_best, col_best = [], sims.max(axis=1)
+            else:
+                np.maximum(col_best, sims.max(axis=1), out=col_best)
+            row_best.append(sims.max(axis=2))
+            if r + sims.shape[1] == ka:
+                forward = np.concatenate(row_best, axis=1).mean(axis=1)
+                out[rows[s:e]] = 0.5 * (forward + col_best.mean(axis=1))
+            del keys, inverse, sims  # one block's cells alive at a time
     return out
 
 

@@ -190,7 +190,7 @@ def levenshtein_distance(a: str | None, b: str | None) -> float:
         return float(len(a))
     if len(a) < len(b):  # iterate over the shorter string's rows
         a, b = b, a
-    tb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    tb = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     n = len(b)
     offsets = np.arange(n + 1, dtype=np.float64)
     prev = offsets.copy()
@@ -290,7 +290,7 @@ def needleman_wunsch(a: str | None, b: str | None) -> float:
         return 0.0
     if len(a) < len(b):
         a, b = b, a
-    tb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    tb = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     n = len(b)
     prev = np.zeros(n + 1, dtype=np.float64)
     row = np.zeros(n + 1, dtype=np.float64)
@@ -319,7 +319,7 @@ def smith_waterman(a: str | None, b: str | None) -> float:
         return 0.0
     if len(a) < len(b):
         a, b = b, a
-    tb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    tb = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     n = len(b)
     offsets = np.arange(n + 1, dtype=np.float64)
     prev = np.zeros(n + 1, dtype=np.float64)

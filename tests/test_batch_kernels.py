@@ -1,10 +1,14 @@
 """The columnar batch kernels agree with the scalar similarity functions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.text import batch
 from repro.text.batch import (
     batch_jaro_winkler,
     batch_levenshtein_similarity,
@@ -109,6 +113,7 @@ class TestQgramStats:
         strings = [
             "golden dragon", "Golden Dragon", "blue lotus cafe", "", None,
             "a", "ab", "𝕏-ray 𝄞 notation", "naïve ☕", "repeat repeat repeat",
+            "lone \ud800 surrogate", "\udfff\ud800",
         ]
         rng = np.random.default_rng(3)
         ua = rng.integers(0, len(strings), size=60)
@@ -235,8 +240,9 @@ class TestBatchEdit:
             (batch_jaro_winkler, jaro_winkler),
         ],
     )
-    def test_small_buckets_use_scalar_fallback(self, batch_fn, scalar_fn):
-        # every (len_a, len_b) combination distinct → bucket size 1 each
+    def test_singleton_buckets_merge_into_one_class(self, batch_fn, scalar_fn):
+        # every (len_a, len_b) combination distinct → bucket size 1 each, all
+        # merged into one padded class with differing match windows
         a = ["a", "ab", "abc", "abcd", None, ""]
         b = ["abcdz", "xyzw", "ab", "a", "x", "nonempty"]
         _assert_matches_scalar(batch_fn(a, b), scalar_fn, a, b)
@@ -248,6 +254,16 @@ class TestBatchEdit:
         b = ["𝕏ray", "xray", "na\U0001F601me", "𝄞𝄞x𝄞"] * 2
         _assert_matches_scalar(batch_levenshtein_similarity(a, b), levenshtein_similarity, a, b)
         _assert_matches_scalar(batch_jaro_winkler(a, b), jaro_winkler, a, b)
+
+    def test_lone_surrogates_match_scalar(self):
+        # a lone surrogate is one utf-32 code unit, on either side of a pair
+        # and on the shorter side of a Levenshtein pair
+        a = ["ab\ud800c", "\ud800", "x\udfffyz", "\udfff\ud800", "plain", "\ud800bc"] * 2
+        b = ["a\ud800c", "q\ud800x", "\udfffy", "\ud800\udfff", "pl\ud800in", "\ud800bc"] * 2
+        _assert_matches_scalar(batch_levenshtein_similarity(a, b), levenshtein_similarity, a, b)
+        _assert_matches_scalar(batch_jaro_winkler(a, b), jaro_winkler, a, b)
+        _assert_matches_scalar(batch_levenshtein_similarity(b, a), levenshtein_similarity, b, a)
+        _assert_matches_scalar(batch_jaro_winkler(b, a), jaro_winkler, b, a)
 
     def test_equal_and_empty_short_circuits(self):
         a = ["same", "", "", None]
@@ -265,11 +281,70 @@ class TestBatchEdit:
         assert col[50] == levenshtein_similarity("flour", "flower")
 
     def test_transpositions_in_vectorized_jaro(self):
-        # classic transposition-heavy cases, repeated to exceed the scalar
-        # fallback threshold so the vectorized path is exercised
+        # classic transposition-heavy cases; repeats deduplicate to one combo
         pairs = [("martha", "marhta"), ("dwayne", "duane"), ("dixon", "dicksonx")]
         for x, y in pairs:
             a, b = [x] * 6, [y] * 6
             got = batch_jaro_winkler(a, b)
             assert np.allclose(got, jaro_winkler(x, y))
             assert got[0] == jaro_winkler(x, y)
+
+
+# One character per draw: ASCII, a non-BMP character and both lone-surrogate
+# ends; a small alphabet makes matches, transpositions and shared prefixes.
+_EDIT_ALPHABET = st.sampled_from(["a", "b", "c", "d", "\U0001d54f", "\ud800", "\udfff"])
+_EDIT_STRINGS = st.one_of(
+    st.none(),
+    st.integers(0, 40).flatmap(
+        lambda n: st.text(alphabet=_EDIT_ALPHABET, min_size=n, max_size=n)
+    ),
+)
+
+
+@st.composite
+def _edit_batches(draw):
+    """1–200 pairs drawn from a small pool: repeated and equal values recur."""
+    pool = draw(st.lists(_EDIT_STRINGS, min_size=1, max_size=24))
+    n = draw(st.integers(1, 200))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+    return [pool[i] for i in draw(picks)], [pool[i] for i in draw(picks)]
+
+
+def _scalar_column(scalar_fn, a, b):
+    return np.array([scalar_fn(x, y) for x, y in zip(a, b)], dtype=np.float64)
+
+
+@pytest.mark.parametrize(
+    "batch_fn,scalar_fn",
+    [
+        (batch_levenshtein_similarity, levenshtein_similarity),
+        (batch_jaro_winkler, jaro_winkler),
+    ],
+    ids=["levenshtein", "jaro_winkler"],
+)
+class TestEditKernelProperties:
+    """Length classes pad and mask rows: no row may see another's padding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edit_batches())
+    def test_bit_identical_to_scalar(self, batch_fn, scalar_fn, pairs):
+        a, b = pairs
+        assert batch_fn(a, b).tobytes() == _scalar_column(scalar_fn, a, b).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(_edit_batches())
+    def test_pair_score_independent_of_batch_composition(self, batch_fn, scalar_fn, pairs):
+        a, b = pairs
+        whole = batch_fn(a, b)
+        assert batch_fn(a[::-1], b[::-1])[::-1].tobytes() == whole.tobytes()
+        alone = np.concatenate([batch_fn([x], [y]) for x, y in zip(a, b)])
+        assert alone.tobytes() == whole.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_edit_batches())
+    def test_class_budget_does_not_change_bits(self, batch_fn, scalar_fn, pairs):
+        a, b = pairs
+        whole = batch_fn(a, b)
+        for budget in (1, 2**40):  # every bucket alone; one class for all
+            with mock.patch.object(batch, "_EDIT_CLASS_CELLS", budget):
+                assert batch_fn(a, b).tobytes() == whole.tobytes(), budget

@@ -1,19 +1,23 @@
-"""Sort-based featurization kernels vs the reference kernels (``reference_batch``).
+"""Featurization kernels vs the reference kernels (``reference_batch``).
 
-The acceptance bar for hash-free deduplication and the packed-sort
-Monge–Elkan lookup in :mod:`repro.text.batch`:
+The acceptance bar for hash-free deduplication, the packed-sort
+Monge–Elkan lookup and the length-class edit kernels in
+:mod:`repro.text.batch`:
 
 * ``_sorted_unique`` equals ``np.unique`` and ``_unique_inverse`` equals
   ``np.unique(..., return_inverse=True)`` (values and inverse) on
   hypothesis-drawn arrays, lengths 1, 2 and 2^k ± 1, all-equal arrays and
   keys at the largest value the packing allows; empty input is handled;
 * Monge–Elkan is bit-identical to the reference kernel with the chunk cap
-  forced down to 1, 3 and 7 cells, so that most pairs form a chunk of
-  their own larger than the cap;
+  forced down to 1, 3 and 7 cells, so that most pairs are larger than the
+  cap and split their token rows into blocks; one real oversized pair
+  stays within a bounded transient peak;
 * a vocabulary whose packed cells would overflow int64 makes the kernel
   refuse, and the feature generator falls back to per-pair values;
 * on the six fixture datasets the cross matrix and both within-table
-  matrices are bit-identical to the oracle's, NaNs included.
+  matrices are bit-identical to the oracle's, NaNs included; the oracle
+  also swaps in the per-bucket Jaro–Winkler and Levenshtein kernels with
+  their scalar fallback.
 
 ``REPRO_EM_PARITY_SCALE=paper`` (the ``em-parity`` CI job) runs the six
 datasets at paper scale; tier-1 leaves it unset and runs them at tiny
@@ -21,6 +25,7 @@ scale.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +163,24 @@ def test_monge_elkan_small_chunks_match_reference(monkeypatch, cap, seed):
     got = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
     want = reference_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_monge_elkan_oversized_pair_memory_is_bounded():
+    # one 3000×3000-token pair is 9M cells, 4.5× the chunk cap: its A-token
+    # rows are split into blocks, so the transient peak stays near one cap's
+    # worth of cells (a 200-word vocabulary keeps the Jaro–Winkler table small)
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i:03d}x" for i in range(200)]
+    bags = [tuple(vocab[i] for i in rng.integers(0, 200, size=3000)) for _ in range(2)]
+    idx = np.zeros(1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = batch.batch_monge_elkan_jw_indexed(bags[:1], idx, bags[1:], idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is not None and 0.0 <= got[0] <= 1.0
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 def test_packing_guard_boundary(monkeypatch):

@@ -112,6 +112,16 @@ class TestIncrementalEndToEnd:
         result = resolver.resolve([dup])
         assert result.assignments["dup0"] == resolver.store.entity_of("a0")
 
+    def test_lone_surrogate_record_is_scored(self, frozen_resolver):
+        """A lone surrogate (legal in a JSON escape) featurizes like any character."""
+        resolver = frozen_resolver
+        dup = dict(resolver.store.get("a1"), id="lone1")
+        dup["name"] += "\ud800"
+        result = resolver.resolve([dup])
+        assert ("a1", "lone1") in result.pairs
+        assert np.isfinite(result.scores).all()
+        assert result.assignments["lone1"] == resolver.store.entity_of("a1")
+
     def test_novel_record_becomes_singleton(self, frozen_resolver):
         record = {"id": "solo", "name": "zzyzx quasar", "city": None, "phone": None}
         result = frozen_resolver.resolve([record])

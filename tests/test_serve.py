@@ -126,6 +126,16 @@ class TestEndpoints:
         assert by_entity["members"] == by_record["members"]
         assert {r["id"] for r in by_entity["records"]} == set(by_entity["members"])
 
+    def test_lone_surrogate_escape_is_resolved_and_scored(self, server):
+        rec = _record(2, "c")
+        body = json.dumps({"records": [dict(rec, name=rec["name"] + "\ud800")]})
+        assert "\\ud800" in body  # sent as the JSON escape, not as UTF-8
+        status, payload = _call(server.base_url, "/resolve", "POST", raw=body.encode())
+        assert status == 200, payload
+        assert any(m["right"] == "c2" for m in payload["matches"])
+        _, lookup = _call(server.base_url, "/lookup/c2")
+        assert {"a2", "b2", "c2"} <= set(lookup["members"])
+
     def test_explain_decomposes_a_stored_pair(self, server):
         status, body = _call(server.base_url, "/explain?left=a0&right=b0")
         assert status == 200

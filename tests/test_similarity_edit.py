@@ -167,3 +167,21 @@ class TestAlignments:
         assert smith_waterman("", "a") == 0.0
         assert math.isnan(needleman_wunsch(None, "x"))
         assert math.isnan(smith_waterman("x", None))
+
+
+class TestLoneSurrogates:
+    """A lone surrogate (a JSON ``\\ud800`` escape decodes to one) is one
+    character like any other: every edit measure scores it as it scores a
+    plain character in its place."""
+
+    @pytest.mark.parametrize(
+        "func", [levenshtein_distance, jaro_winkler, needleman_wunsch, smith_waterman]
+    )
+    @pytest.mark.parametrize(
+        "a,b",
+        [("ab\ud800c", "a\ud800c"), ("x\udfffyz", "\udfffy"), ("\ud800", "q\ud800\udfff")],
+        ids=["inside", "leading", "alone"],
+    )
+    def test_scores_like_a_plain_character(self, func, a, b):
+        plain = {0xD800: "#", 0xDFFF: "%"}  # characters no input contains
+        assert func(a, b) == func(a.translate(plain), b.translate(plain))
