@@ -18,9 +18,17 @@ overload contract, not throughput — every request is answered, the shed
 rate is visible, and response latency (p50/p99 across *all* answers,
 sheds included) stays bounded instead of growing with the backlog.
 
+A **lookup** leg times sequential ``GET /lookup`` requests (alternating
+stored record ids and live entity ids) against two stores: the fitted base
+store, and a 100k-record store grown from it with ``add_records`` plus
+merges of near-duplicates, the way resolve batches grow a store. A lookup
+reads one entity's member list, so its latency must not grow with the
+store.
+
 Emits the printed tables plus machine-readable ``BENCH_serve.json``. The
-acceptance floor checked here is the serving issue's: micro-batched
-concurrent throughput ≥ 3× sequential, and bounded p99 while shedding.
+acceptance floors checked here: micro-batched concurrent throughput ≥ 3×
+sequential, bounded p99 while shedding, and lookup p99 ≤ 50 ms at 100k
+records.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a seconds-long CI run (tiny scale, fewer
 records, and a relaxed floor — CI machines make poor load generators).
@@ -63,6 +71,13 @@ OVERLOAD_CONCURRENCY = 16 if SMOKE else 64
 OVERLOAD_QUEUE = 4
 #: Acceptance ceiling on p99 answer latency while shedding (ms).
 MAX_SHED_P99_MS = 30_000.0 if SMOKE else 10_000.0
+#: Lookup leg: timed requests per store, and the grown store's record count.
+N_LOOKUPS = 40 if SMOKE else 400
+GROWN_RECORDS = 3_000 if SMOKE else 100_000
+#: Share of grown records merged into a recent record (a near-duplicate).
+GROWN_DUPLICATES = 0.2
+#: Acceptance ceiling on lookup p99 against the grown store (ms).
+MAX_LOOKUP_P99_MS = 1_000.0 if SMOKE else 50.0
 
 
 def _resolve_one(base_url: str, record: dict) -> dict:
@@ -154,6 +169,60 @@ def _run_overload(base_url: str, records: list, n_requests: int, n_threads: int)
     return elapsed, answers
 
 
+def _grow(resolver, records: list, n_total: int, seed: int) -> None:
+    """Grow a frozen resolver's store and index to ``n_total`` records.
+
+    Copies of ``records`` arrive under fresh ids; a
+    :data:`GROWN_DUPLICATES` share of them merges into one of the 50
+    records before it (at 100k: clusters of 2–11 records, most of 2).
+    """
+    grown = [
+        dict(records[i % len(records)], id=f"g{i}") for i in range(n_total - len(resolver.store))
+    ]
+    resolver.index.add(grown)
+    resolver.store.add_records(grown)
+    rng = np.random.default_rng(seed)
+    duplicate = rng.random(len(grown)) < GROWN_DUPLICATES
+    for i in np.flatnonzero(duplicate[1:]) + 1:
+        resolver.store.merge(f"g{i - 1 - int(rng.integers(min(i, 50)))}", f"g{i}")
+
+
+def _lookup_targets(store, n: int, seed: int) -> list:
+    """``n`` lookup targets alternating stored record ids and live entity ids."""
+    entities = store.entities()
+    entity_ids = list(entities)
+    record_ids = [rid for members in entities.values() for rid in members]
+    rng = np.random.default_rng(seed)
+    return [
+        entity_ids[rng.integers(len(entity_ids))]
+        if j % 2
+        else record_ids[rng.integers(len(record_ids))]
+        for j in range(n)
+    ]
+
+
+def _run_lookups(base_url: str, targets: list) -> list:
+    """Sequential ``GET /lookup`` calls; returns each one's latency (ms)."""
+    latencies = []
+    for target in targets:
+        started = time.perf_counter()
+        with urlopen(f"{base_url}/lookup/{target}", timeout=60) as response:
+            payload = json.loads(response.read())
+        latencies.append((time.perf_counter() - started) * 1000.0)
+        if target not in payload["members"] and payload["entity_id"] != target:
+            raise RuntimeError(f"lookup of {target} answered {payload}")  # pragma: no cover
+    return latencies
+
+
+def _lookup_leg(artifacts: Path, targets: list) -> tuple[float, list]:
+    """Serve ``artifacts`` and time lookups of ``targets`` after a warm-up."""
+    with BackgroundServer(ServeApp(artifacts, port=0)) as server:
+        _run_lookups(server.base_url, targets[:5])  # opens the payload shards
+        started = time.perf_counter()
+        latencies = _run_lookups(server.base_url, targets)
+        return time.perf_counter() - started, latencies
+
+
 def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
     def run():
         merged, _ = load_benchmark(DATASET, scale=SCALE, seed=SEED).as_dedup()
@@ -211,16 +280,29 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
                 shed_counted = int(
                     snapshot["counters"].get("serve.shed_total", 0)
                 )
+
+            # lookups: the fitted base store, then one grown to GROWN_RECORDS
+            lookups = {}
+            for name, n_total in (("lookup-base", None), ("lookup-grown", GROWN_RECORDS)):
+                resolver = pipeline.freeze()
+                if n_total is not None:
+                    _grow(resolver, records, n_total, SEED)
+                store_info = (len(resolver.store), resolver.store.n_entities)
+                targets = _lookup_targets(resolver.store, N_LOOKUPS, SEED)
+                artifacts = workdir / name
+                resolver.save(artifacts)
+                del resolver
+                lookups[name] = (*store_info, *_lookup_leg(artifacts, targets))
             return (
                 scenarios, batch_stats, fit_seconds, len(base),
-                overload_elapsed, answers, shed_counted,
+                overload_elapsed, answers, shed_counted, lookups,
             )
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
     (
         scenarios, batch_stats, fit_seconds, base_n,
-        overload_elapsed, answers, shed_counted,
+        overload_elapsed, answers, shed_counted, lookups,
     ) = one_shot(benchmark, run)
 
     statuses = [status for status, _ms in answers]
@@ -269,6 +351,21 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
             latency_p99_ms=round(p99_ms, 2),
         ),
     ]
+    for name, (n_store, n_entities, elapsed, latencies) in lookups.items():
+        rows.append(
+            bench_workload(
+                DATASET,
+                name,
+                elapsed,
+                speedup=1.0,
+                records=n_store,
+                entities=n_entities,
+                lookups=len(latencies),
+                concurrency=1,
+                latency_p50_ms=round(float(np.percentile(latencies, 50)), 3),
+                latency_p99_ms=round(float(np.percentile(latencies, 99)), 3),
+            )
+        )
 
     emit(capfd, "")
     emit(capfd, format_table(
@@ -305,6 +402,22 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
          "p50_ms", "p99_ms"],
         title="overload: typed shedding with bounded answer latency",
     ))
+    emit(capfd, "")
+    emit(capfd, format_table(
+        [
+            {
+                "store": w["engine"],
+                "records": w["records"],
+                "entities": w["entities"],
+                "lookups": w["lookups"],
+                "p50_ms": w["latency_p50_ms"],
+                "p99_ms": w["latency_p99_ms"],
+            }
+            for w in rows[3:]
+        ],
+        ["store", "records", "entities", "lookups", "p50_ms", "p99_ms"],
+        title="GET /lookup latency: one entity read, whatever the store size",
+    ))
     report_path = write_bench_report("serve", rows, meta={
         "scale": SCALE,
         "seed": SEED,
@@ -316,6 +429,9 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
         "overload_requests": OVERLOAD_REQUESTS,
         "overload_concurrency": OVERLOAD_CONCURRENCY,
         "overload_max_queue": OVERLOAD_QUEUE,
+        "lookups": N_LOOKUPS,
+        "grown_records": GROWN_RECORDS,
+        "grown_duplicates": GROWN_DUPLICATES,
         "initial_fit_sec": round(fit_seconds, 4),
     })
     emit(capfd, f"report written to {report_path}")
@@ -337,3 +453,6 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
     assert statuses.count(200) > 0, "overload shed everything"
     assert n_shed > 0, "the overload scenario never overloaded"
     assert p99_ms <= MAX_SHED_P99_MS, rows[2]
+    # lookups read one entity: bounded p99 however large the store
+    assert rows[-1]["records"] == GROWN_RECORDS
+    assert rows[-1]["latency_p99_ms"] <= MAX_LOOKUP_P99_MS, rows[-1]

@@ -12,8 +12,9 @@ the pieces compose as::
            └─ state.ServingState   resolver + version + health
 
 Guarantees the tests pin down: concurrent resolves are micro-batched into
-single columnar engine passes; store mutation is single-writer with
-consistent :meth:`~repro.shard.store.ShardedEntityStore.snapshot` reads;
+single columnar engine passes; store mutation is single-writer, and a
+lookup reads one whole entity in O(|entity|) through
+:meth:`~repro.shard.store.ShardedEntityStore.cluster_of`;
 ``SIGHUP`` / ``POST /admin/reload`` hot-swaps the artifact's ``CURRENT``
 version with zero failed in-flight requests; overload sheds with typed
 503/429/504 responses instead of queueing unboundedly, and ``SIGTERM`` /

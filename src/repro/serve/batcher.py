@@ -13,8 +13,9 @@ waiting futures.
 The batcher also owns the serving layer's **single-writer contract**: every
 batch executes on a one-thread executor, so resolves (which mutate the
 index and the union-find :class:`~repro.shard.store.ShardedEntityStore`)
-are strictly serialized, while snapshot reads (lookup/health endpoints)
-proceed concurrently from the event loop. Artifact hot-reloads are funneled
+are strictly serialized, while reads (lookup/health endpoints) proceed
+concurrently from the event loop, each holding the store lock for
+O(|entity|) at most. Artifact hot-reloads are funneled
 through the same thread via :meth:`MicroBatcher.run_serialized`, which is
 what makes a reload invisible to in-flight requests: queued batches drain
 on the old resolver or run entirely on the new one, never half-and-half.

@@ -24,7 +24,8 @@ Endpoints
     Ingest records through the micro-batcher (see
     :mod:`repro.serve.batcher`).
 ``GET /lookup/{id}``
-    Entity membership by entity id *or* record id, from a store snapshot.
+    Entity membership by entity id *or* record id, read in O(|entity|)
+    from the store's member lists.
 ``GET /explain?left=&right=``
     Per-attribute-group log-odds decomposition of a stored pair.
 ``GET /healthz``
@@ -291,15 +292,11 @@ class Router:
         target = request.path.rstrip("/").removeprefix("/lookup/")
         if not target:
             raise ProtocolError(400, "lookup needs an entity or record id")
-        snapshot = self.state.resolver.store.snapshot()
-        if target in snapshot.entities:
-            entity_id = target
-        elif target in snapshot.assignments:
-            entity_id = snapshot.assignments[target]
-        else:
-            raise ProtocolError(404, f"no entity or record with id {target!r}")
-        members = list(snapshot.entities[entity_id])
         store = self.state.resolver.store
+        cluster = store.cluster_of(target)
+        if cluster is None:
+            raise ProtocolError(404, f"no entity or record with id {target!r}")
+        entity_id, members = cluster
         return 200, {
             "entity_id": entity_id,
             "members": members,

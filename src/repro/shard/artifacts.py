@@ -63,22 +63,28 @@ _LEDGER = "ledger.shard"
 
 
 def _ledger_segments(store: ShardedEntityStore, index: ShardedTokenIndex) -> tuple[dict, dict]:
-    """Serialize the global ledger (union-find + insertion order + dfs)."""
+    """Serialize the global ledger (union-find + insertion order + dfs).
+
+    ``parent`` holds each record's root position (root-compressed), written
+    from the member lists; ``ord`` holds each root's entity ordinal, ``-1``
+    for every other record.
+    """
     with store._lock:
         rids = list(store._order)
-        order_of = {rid: i for i, rid in enumerate(rids)}
         n = len(rids)
-        parent = np.empty(n, dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
+        parent = np.arange(n, dtype=np.int64)
         ords = np.full(n, -1, dtype=np.int64)
-        shards = np.empty(n, dtype=np.uint8)
-        for i, rid in enumerate(rids):
-            parent[i] = order_of[store._find(rid)]  # root-compressed
-            rank[i] = store._rank[rid]
-            shards[i] = store._slot[rid][0]
-            ord_ = store._entity_ord.get(rid)
-            if ord_ is not None:
-                ords[i] = ord_
+        for root, ord_ in store._entity_ord.items():
+            positions = store._members.get(root)
+            if positions is None:  # a singleton sits at its own ordinal
+                ords[ord_] = ord_
+                continue
+            at = next(p for p in positions if rids[p] == root)
+            parent[positions] = at
+            ords[at] = ord_
+        shards = np.fromiter(
+            (store._slot[rid][0] for rid in rids), dtype=np.uint8, count=n
+        )
         next_ord = store._next_ord
     tokens = sorted(index._gdf)
     dfs = np.fromiter((index._gdf[t] for t in tokens), dtype=np.int64, count=len(tokens))
@@ -90,7 +96,6 @@ def _ledger_segments(store: ShardedEntityStore, index: ShardedTokenIndex) -> tup
         "rid.blob": rid_col["blob"],
         "shard": shards,
         "parent": parent,
-        "rank": rank,
         "ord": ords,
         "tok.kind": tok_col["kind"],
         "tok.offsets": tok_col["offsets"],
@@ -294,9 +299,11 @@ def load_sharded_state(
     """Rebuild ``(store, index)`` lazily from a sharded version directory.
 
     Only the ledger is read here — record payloads and postings stay on
-    disk until a batch's tokens route a probe into their shard. The load
-    budget (``load_budget_mb`` captured at fit time) is enforced by a
-    fresh :class:`~repro.shard.loader.ShardLoadManager` shared by the
+    disk until a batch's tokens route a probe into their shard. The member
+    lists are rebuilt in one pass over its root-compressed ``parent``
+    segment; a ``rank`` segment (written by earlier versions) is ignored.
+    The load budget (``load_budget_mb`` captured at fit time) is enforced
+    by a fresh :class:`~repro.shard.loader.ShardLoadManager` shared by the
     store and index.
     """
     meta = resolver_payload["sharded"]
@@ -314,7 +321,6 @@ def load_sharded_state(
         )
         shard_ids = ledger.segment("shard").tolist()
         parent_idx = ledger.segment("parent").tolist()
-        ranks = ledger.segment("rank").tolist()
         ords = ledger.segment("ord").tolist()
         tokens = unpack_column(
             ledger.segment("tok.kind"), ledger.segment("tok.offsets"), ledger.segment("tok.blob")
@@ -329,11 +335,14 @@ def load_sharded_state(
         store._order.append(rid)
         store._slot[rid] = (shard_id, slots[shard_id])
         slots[shard_id] += 1
-    for i, rid in enumerate(rids):
-        store._parent[rid] = rids[parent_idx[i]]
-        store._rank[rid] = ranks[i]
+    members: dict = {}  # root position -> member positions
+    for i, (rid, root) in enumerate(zip(rids, parent_idx)):
+        store._parent[rid] = rids[root]
         if ords[i] >= 0:
             store._entity_ord[rid] = ords[i]
+        if root != i:
+            members.setdefault(root, [root]).append(i)
+    store._members = {rids[root]: positions for root, positions in members.items()}
     store._next_ord = int(lmeta["next_ord"])
     for shard, entry in zip(store._shards, meta["files"]["store"]):
         shard.n_base = int(entry["records"])

@@ -10,10 +10,11 @@ in — only younger ids disappear into older ones.
 The store keeps exactly the split that makes out-of-core resolution
 deterministic:
 
-* the **ledger** — union-find parent/rank pointers, entity ordinals, and
-  the record insertion order — is global and in-memory, so entity ids do
-  not depend on how records scatter across shards or how many cross-shard
-  edges a batch produces;
+* the **ledger** — union-find parent pointers, entity ordinals, the
+  record insertion order, and the member list of every cluster of two or
+  more records — is global and in-memory, so entity ids do not depend on
+  how records scatter across shards or how many cross-shard edges a batch
+  produces;
 * the **record payloads** — the bulky part — are partitioned by a stable
   hash of the record id (:func:`~repro.shard.partition.shard_of_record`)
   into shards, each an immutable mmap-backed base plus an in-memory
@@ -25,13 +26,22 @@ Cross-shard merges need no reconciliation protocol: a merge touches only
 the ledger, never the payloads, so two records in different shards unify
 exactly like two records in the same one.
 
+Every read is answered from the ledger in O(size of the entities it
+returns): a record's entity is one ``find``, an entity id maps to its root
+through its oldest member (entity ``e<k>``'s oldest member is the record
+added k-th), and a cluster's members come from its list. A merge appends
+the smaller cluster's list to the larger one's, so the writer pays
+O(smaller) per merge.
+
 The store is safe to share between one writer and many readers (the
-serving layer's single-writer/snapshot-reader contract): every mutating
-*and* reading method takes an internal re-entrant lock — reads need it too
-because ``entity_of`` path-compresses parent pointers — and
-:meth:`ShardedEntityStore.snapshot` materializes a consistent, immutable
-:class:`StoreSnapshot` of the whole partition in one critical section, so a
-reader never observes a merge half-applied.
+serving layer's single-writer contract): every mutating *and* reading
+method takes an internal re-entrant lock — reads need it too because
+``find`` path-compresses parent pointers — and each read runs in one
+critical section, so a reader never observes a merge half-applied and
+never holds the writer up for longer than the entity it reads.
+:meth:`ShardedEntityStore.cluster_of` answers one entity whole (its id and
+its members together); :meth:`ShardedEntityStore.snapshot` materializes an
+immutable :class:`StoreSnapshot` of the whole partition for bulk readers.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -204,8 +215,12 @@ class ShardedEntityStore:
         self._order: list = []  # record ids in insertion order
         self._slot: dict = {}  # rid -> (shard_id, slot)
         self._parent: dict = {}  # union-find parent pointers
-        self._rank: dict = {}  # union-by-rank
-        self._entity_ord: dict = {}  # root rid -> entity creation counter
+        # root rid -> entity ordinal: the position in _order of the
+        # cluster's oldest member (a record's ordinal is its position)
+        self._entity_ord: dict = {}
+        # root rid -> positions in _order of its members, for clusters of
+        # two or more records; an absent root is a singleton
+        self._members: dict = {}
         self._next_ord = 0
         # Guards every read and write: path compression means even lookups
         # mutate the parent pointers, so readers must exclude the writer.
@@ -225,7 +240,7 @@ class ShardedEntityStore:
         """
         id_attr, n_shards, shards = self.id_attr, self.n_shards, self._shards
         slot_of, order = self._slot, self._order
-        parent, rank, entity_ord = self._parent, self._rank, self._entity_ord
+        parent, entity_ord = self._parent, self._entity_ord
         labels: list[str] = []
         with self._lock:
             next_ord = self._next_ord
@@ -240,7 +255,6 @@ class ShardedEntityStore:
                     shard.overlay.append(dict(record))
                     order.append(rid)
                     parent[rid] = rid
-                    rank[rid] = 0
                     entity_ord[rid] = next_ord
                     labels.append(f"e{next_ord}")
                     next_ord += 1
@@ -267,19 +281,27 @@ class ShardedEntityStore:
         ids stable as evidence accumulates. Only the global ledger changes —
         payload shards are untouched — so a merge across shard boundaries
         is indistinguishable from one within a shard.
+
+        The root of the larger cluster survives and takes the smaller
+        cluster's member list onto its own, so a merge costs O(smaller).
         """
         with self._lock:
             ra, rb = self._find(a_id), self._find(b_id)
+            entity_ord, members = self._entity_ord, self._members
+            ord_a, ord_b = entity_ord[ra], entity_ord[rb]
             if ra == rb:
-                return self._entity_label(self._entity_ord[ra])
-            keep_ord = min(self._entity_ord[ra], self._entity_ord[rb])
-            if self._rank[ra] < self._rank[rb]:
-                ra, rb = rb, ra
+                return self._entity_label(ord_a)
+            # a singleton's only position is its own ordinal
+            list_a = members.get(ra) or [ord_a]
+            list_b = members.get(rb) or [ord_b]
+            if len(list_a) < len(list_b):
+                ra, rb, list_a, list_b = rb, ra, list_b, list_a
+            list_a.extend(list_b)
+            members[ra] = list_a
+            members.pop(rb, None)
             self._parent[rb] = ra
-            if self._rank[ra] == self._rank[rb]:
-                self._rank[ra] += 1
-            self._entity_ord[ra] = keep_ord
-            del self._entity_ord[rb]
+            del entity_ord[rb]
+            entity_ord[ra] = keep_ord = min(ord_a, ord_b)
             return self._entity_label(keep_ord)
 
     # -- lookup ------------------------------------------------------------------
@@ -288,22 +310,73 @@ class ShardedEntityStore:
     def _entity_label(ord_: int) -> str:
         return f"e{ord_}"
 
+    def _entity_root(self, entity_id):
+        """Root of the live entity labelled ``entity_id``, else ``None``.
+
+        Entity ``e<k>``'s oldest member is ``_order[k]``, so its root is that
+        record's root — provided the cluster there still carries ordinal k
+        (a merged-away id's oldest member now sits in an older entity). Only
+        the exact label counts: ``e01``, ``e`` and ``e-1`` name no entity.
+        """
+        if not isinstance(entity_id, str) or not entity_id.startswith("e"):
+            return None
+        try:
+            k = int(entity_id[1:])
+        except ValueError:
+            return None
+        if not 0 <= k < len(self._order) or self._entity_label(k) != entity_id:
+            return None
+        root = self._find(self._order[k])
+        return root if self._entity_ord[root] == k else None
+
+    def _member_ids(self, root) -> list:
+        """Record ids of ``root``'s cluster, in insertion order."""
+        positions = self._members.get(root)
+        if positions is None:
+            return [root]
+        positions.sort()  # merges append runs; sorted, later reads are linear
+        order = self._order
+        return [order[p] for p in positions]
+
     def entity_of(self, record_id) -> str:
         """Stable entity id of the cluster containing ``record_id``."""
         with self._lock:
             return self._entity_label(self._entity_ord[self._find(record_id)])
 
     def members(self, entity_id: str) -> list:
-        """Record ids in one entity's cluster (insertion order)."""
-        return self.entities().get(entity_id, [])
+        """Record ids in one entity's cluster (insertion order).
+
+        Empty for anything that is not a live entity id.
+        """
+        with self._lock:
+            root = self._entity_root(entity_id)
+            return [] if root is None else self._member_ids(root)
+
+    def cluster_of(self, id_) -> tuple[str, list] | None:
+        """``(entity_id, member record ids)`` for an entity or record id.
+
+        An entity id wins over a record id spelled the same way; ``None``
+        when ``id_`` is neither. Both parts are read in one critical
+        section, so a concurrent merge can never pair an entity id with
+        another cluster's members. Costs O(|entity| log |entity|).
+        """
+        with self._lock:
+            root = self._entity_root(id_)
+            if root is None:
+                if id_ not in self._slot:
+                    return None
+                root = self._find(id_)
+            return self._entity_label(self._entity_ord[root]), self._member_ids(root)
 
     def entities(self) -> dict[str, list]:
-        """``{entity_id: [record_ids]}`` for every cluster, insertion-ordered."""
+        """``{entity_id: [record_ids]}`` for every cluster, insertion-ordered.
+
+        Entities come in ordinal order, which is the order in which their
+        oldest members arrived.
+        """
         with self._lock:
-            out: dict[str, list] = {}
-            for rid in self._order:
-                out.setdefault(self.entity_of(rid), []).append(rid)
-            return out
+            roots = sorted(self._entity_ord.items(), key=itemgetter(1))
+            return {self._entity_label(k): self._member_ids(root) for root, k in roots}
 
     def snapshot(self) -> StoreSnapshot:
         """A consistent, immutable view of the current partition.
@@ -311,8 +384,8 @@ class ShardedEntityStore:
         Built in one critical section, so a concurrent writer's merges are
         either fully reflected or not at all — never torn across the
         snapshot's fields. Built from the ledger alone — no payload shard
-        is opened or decoded — so serving-layer lookups over a mostly-cold
-        store stay cheap.
+        is opened or decoded — but in O(store): request paths read one
+        entity through :meth:`cluster_of` instead.
         """
         with self._lock:
             entities = {eid: tuple(m) for eid, m in self.entities().items()}

@@ -363,6 +363,34 @@ class TestHotReload:
         assert health["reloads"] == 1
         assert health["store"]["records"] == len(fresh.store)
 
+    def test_lookup_forms_agree_and_survive_save_then_reload(self, server):
+        """Record and entity ids answer one body; a retired entity id is a 404."""
+        status, body = _call(
+            server.base_url, "/resolve", "POST", {"records": [_record(0, "c")]}
+        )
+        assert status == 200
+        entity = body["assignments"]["c0"]
+        # c0 arrived as e36 (36 stored records) and merged into an older entity
+        assert entity != "e36"
+
+        def lookups() -> list:
+            answers = []
+            for path in ("/lookup/c0", f"/lookup/{entity}"):
+                status, payload = _call(server.base_url, path)
+                assert status == 200, payload
+                payload.pop("server_time_ms")
+                answers.append(payload)
+            return answers
+
+        by_record, by_entity = lookups()
+        assert by_record == by_entity
+        assert by_record["entity_id"] == entity and "c0" in by_record["members"]
+        assert _call(server.base_url, "/lookup/e36")[0] == 404
+        assert _call(server.base_url, "/admin/save", "POST")[0] == 200
+        assert _call(server.base_url, "/admin/reload", "POST")[0] == 200
+        assert lookups() == [by_record, by_record]
+        assert _call(server.base_url, "/lookup/e36")[0] == 404
+
     def test_zero_failed_in_flight_requests_during_reload(self, artifacts):
         """Resolves hammering the server across repeated hot reloads all succeed."""
         app = ServeApp(artifacts, port=0, max_batch=16, max_wait_ms=5.0)

@@ -1,22 +1,26 @@
-"""Concurrent entity-store access: one writer, many snapshot readers.
+"""Concurrent entity-store access: one writer, many readers.
 
-The serving layer's contract is single-writer/snapshot-reader: resolve
-batches mutate the store from one worker thread while lookup/health
-endpoints read it from the event-loop thread. These tests hammer that
-contract directly — a writer thread adding and merging at full speed while
-reader threads pull :meth:`ShardedEntityStore.snapshot` views — and assert the
-two invariants the endpoints rely on:
+The serving layer's contract is single-writer: resolve batches mutate the
+store from one worker thread while lookup/health endpoints read it from
+the event-loop thread. These tests hammer that contract directly — a
+writer thread adding and merging at full speed while reader threads pull
+one-entity :meth:`ShardedEntityStore.cluster_of` answers (what
+``GET /lookup`` serves) or whole :meth:`ShardedEntityStore.snapshot`
+views — and assert the invariants the endpoints rely on:
 
 * **no torn reads** — every snapshot is a valid partition: each record
   appears in exactly one entity, counts agree, and assignments match the
-  entity map;
+  entity map; every ``cluster_of`` answer contains the record it was asked
+  about, lists its members in insertion order, and pairs an entity id
+  with that entity's own members (its oldest member comes first);
 * **stable entity ids** — once a record is observed in entity ``eN``, any
-  later snapshot shows it in ``eM`` with ``M <= N`` (merges keep the older
-  id; ids never churn upward).
+  later read shows it in ``eM`` with ``M <= N`` (merges keep the older
+  id; ids never churn upward), and a retired entity id never comes back.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -55,12 +59,13 @@ class TestSnapshotUnderWriter:
         store = ShardedEntityStore()
         stop = threading.Event()
         failures: list[str] = []
-        # rid -> smallest entity ord ever observed for it (monotone non-increasing)
-        observed: dict[str, int] = {}
-        observed_lock = threading.Lock()
+        # the writer starts with the readers, and each reader reads at least
+        # a few times, so the reads overlap the writes
+        start = threading.Barrier(N_READERS + 1)
 
         def writer():
             try:
+                start.wait()
                 for i in range(N_RECORDS):
                     store.add(_record(i))
                     # merge every record into a rolling neighborhood so the
@@ -75,20 +80,25 @@ class TestSnapshotUnderWriter:
                 stop.set()
 
         def reader():
+            # rid -> entity ord in this reader's latest snapshot (never rises;
+            # kept per reader, since two readers' snapshots have no order)
+            observed: dict[str, int] = {}
             try:
-                while not stop.is_set():
+                start.wait()
+                reads = 0
+                while not stop.is_set() or reads < 20:
+                    reads += 1
                     snap = store.snapshot()
                     _check_partition(snap)
-                    with observed_lock:
-                        for rid, eid in snap.assignments.items():
-                            ord_ = _ord_of(eid)
-                            prev = observed.get(rid)
-                            if prev is not None and ord_ > prev:
-                                failures.append(
-                                    f"entity id churned upward for {rid}: "
-                                    f"e{prev} -> e{ord_}"
-                                )
-                            observed[rid] = ord_ if prev is None else min(prev, ord_)
+                    for rid, eid in snap.assignments.items():
+                        ord_ = _ord_of(eid)
+                        prev = observed.get(rid)
+                        if prev is not None and ord_ > prev:
+                            failures.append(
+                                f"entity id churned upward for {rid}: "
+                                f"e{prev} -> e{ord_}"
+                            )
+                        observed[rid] = ord_
             except Exception as exc:  # pragma: no cover - failure reporting
                 failures.append(f"reader: {exc!r}")
 
@@ -106,6 +116,91 @@ class TestSnapshotUnderWriter:
         # the rolling merges fuse pairs and decades: far fewer entities than records
         assert final.n_entities < N_RECORDS / 2
 
+    def test_writer_vs_cluster_readers_stress(self):
+        """Adds + merges racing one-entity reads: whole, ordered, never churned."""
+        store = ShardedEntityStore()
+        stop = threading.Event()
+        failures: list[str] = []
+        seen: list[dict] = []  # each reader's {rid: entity ord}
+        n_records = 5 * N_RECORDS
+        start = threading.Barrier(N_READERS + 1)
+
+        def writer():
+            try:
+                start.wait()
+                for i in range(n_records):
+                    store.add(_record(i))
+                    if i % 2 == 1:
+                        store.merge(f"r{i - 1}", f"r{i}")
+                    if i % 10 == 9:
+                        store.merge(f"r{i - 9}", f"r{i}")
+                    if i % 50 == 49:
+                        # a newer, larger cluster absorbs an older one
+                        store.merge(f"r{i}", f"r{i - 47}")
+            except Exception as exc:  # pragma: no cover - failure reporting
+                failures.append(f"writer: {exc!r}")
+            finally:
+                stop.set()
+
+        def reader(seed: int):
+            # kept per reader: a read checked after another reader's may
+            # have been answered before it
+            observed: dict[str, int] = {}  # rid -> entity ord at the latest read
+            retired: set[int] = set()  # entity ords seen merged away
+            rng = random.Random(seed)
+            try:
+                start.wait()
+                reads = 0
+                while not stop.is_set() or reads < 200:
+                    reads += 1
+                    known = len(store)
+                    if known and rng.random() < 0.5:  # where the merges land
+                        k = known - 1 - rng.randrange(min(known, 60))
+                    else:
+                        k = rng.randrange(n_records)
+                    target = f"{rng.choice('re')}{k}"
+                    answer = store.cluster_of(target)
+                    if answer is None:
+                        # an unknown record, or an entity id merged away
+                        assert k >= known or target[0] == "e", f"{target} vanished"
+                        if target[0] == "e" and k < known:
+                            retired.add(k)
+                        continue
+                    entity_id, members = answer
+                    ord_ = _ord_of(entity_id)
+                    positions = [int(rid[1:]) for rid in members]
+                    assert positions == sorted(positions), f"{entity_id}: {members}"
+                    # entity e<k>'s oldest member is the k-th record added
+                    assert positions[0] == ord_, f"{entity_id} paired with {members}"
+                    if target[0] == "e":
+                        assert entity_id == target
+                    else:
+                        assert target in members, f"{target} missing from {entity_id}"
+                    assert ord_ not in retired, f"retired {entity_id} came back"
+                    for rid in members:
+                        prev = observed.get(rid, ord_)
+                        assert ord_ <= prev, f"{rid}: e{prev} -> {entity_id}"
+                        observed[rid] = ord_
+            except Exception as exc:  # pragma: no cover - failure reporting
+                failures.append(f"reader: {exc!r}")
+            finally:
+                seen.append(observed)
+
+        threads = [threading.Thread(target=writer)]
+        threads += [threading.Thread(target=reader, args=(s,)) for s in range(N_READERS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a thread hung"
+        assert not failures, failures[:5]
+        assert any(seen), "the readers never saw a cluster"
+        for observed in seen:
+            for rid, ord_ in observed.items():
+                assert _ord_of(store.entity_of(rid)) <= ord_
+        final = store.entities()
+        assert all(store.cluster_of(eid) == (eid, members) for eid, members in final.items())
+
     def test_concurrent_entity_of_while_merging(self):
         """Point reads (which path-compress) race merges without corruption."""
         store = ShardedEntityStore()
@@ -113,9 +208,11 @@ class TestSnapshotUnderWriter:
             store.add(_record(i))
         stop = threading.Event()
         failures: list[str] = []
+        start = threading.Barrier(4)  # the merger starts with the probers
 
         def merger():
             try:
+                start.wait()
                 for i in range(1, 200):
                     store.merge("r0", f"r{i}")
             except Exception as exc:  # pragma: no cover
@@ -125,7 +222,10 @@ class TestSnapshotUnderWriter:
 
         def prober():
             try:
-                while not stop.is_set():
+                start.wait()
+                reads = 0
+                while not stop.is_set() or reads < 20:
+                    reads += 1
                     for i in (0, 50, 100, 150, 199):
                         eid = store.entity_of(f"r{i}")
                         assert eid.startswith("e")
