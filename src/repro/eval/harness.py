@@ -99,10 +99,11 @@ def co_candidate_pairs(
     seen: set[tuple] = set()
     for members in grouped.values():
         members = members[:cap]
+        order = [repr(m) for m in members]  # ids may mix types: order by repr
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 a, b = members[i], members[j]
-                key = (a, b) if repr(a) <= repr(b) else (b, a)
+                key = (a, b) if order[i] <= order[j] else (b, a)
                 if key not in seen:
                     seen.add(key)
                     out.append(key)

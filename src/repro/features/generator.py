@@ -215,30 +215,37 @@ def _default_jw_cache_size() -> int:
 
 
 #: Monge–Elkan's inner similarity is evaluated on *tokens*, which repeat
-#: heavily across a candidate set; caching turns the quadratic token-pair
-#: work into dictionary lookups after warm-up. ``_monge_elkan_jw`` looks the
-#: cache up through the module global, so :func:`configure_jw_cache` can
-#: swap it at runtime.
+#: heavily across a candidate set; on the per-pair path, caching turns the
+#: quadratic token-pair work into dictionary lookups after warm-up. The
+#: batch kernel scores each distinct token pair once per call and never
+#: reads it. ``_monge_elkan_jw`` looks the cache up through the module
+#: global, so :func:`configure_jw_cache` can swap it at runtime.
 _cached_jaro_winkler = functools.lru_cache(maxsize=_default_jw_cache_size())(jaro_winkler)
 
 
 def configure_jw_cache(maxsize: int | None) -> None:
-    """Rebuild the shared Monge–Elkan token cache with a new size bound.
+    """Rebuild the per-pair Monge–Elkan token cache with a new size bound.
 
-    ``maxsize=None`` means unbounded (only safe for short-lived processes);
-    ``0`` disables caching. Replacing the cache also drops all cached
-    entries.
+    Only the per-pair path reads this cache: ``transform(...,
+    engine="per-pair")``, and the per-pair fallback a batch transform takes
+    when the Monge–Elkan kernel refuses a call (over its cell budget, or a
+    token-pair key that would overflow int64). The default batch engine,
+    which fit, resolve and serve use, never touches it. ``maxsize=None``
+    means unbounded (only safe for short-lived processes); ``0`` disables
+    caching. Replacing the cache also drops all cached entries.
     """
     global _cached_jaro_winkler
     _cached_jaro_winkler = functools.lru_cache(maxsize=maxsize)(jaro_winkler)
 
 
 def clear_feature_caches() -> None:
-    """Release the shared token-similarity cache.
+    """Release the per-pair Monge–Elkan token cache.
 
-    Long-running incremental resolvers call this between batches (see
-    :meth:`repro.incremental.resolver.IncrementalResolver.clear_caches`) so
-    featurization caches cannot grow without bound.
+    The cache fills only on the per-pair path (see
+    :func:`configure_jw_cache`); the batch engine keeps no state between
+    calls, so on it this frees nothing. Callers of the per-pair engine can
+    drop the cache between batches (see
+    :meth:`repro.incremental.resolver.IncrementalResolver.clear_caches`).
     """
     _cached_jaro_winkler.cache_clear()
 
@@ -309,15 +316,23 @@ class _ExactFeature(PairFeature):
         return exact_match(a, b)
 
     def batch_scores(self, ctx):
-        strings_a, strings_b = ctx.pair_strings(self.attribute)
-        return np.fromiter(
-            (
-                _NAN if (a is None or b is None) else (1.0 if a == b else 0.0)
-                for a, b in zip(strings_a, strings_b)
-            ),
-            dtype=np.float64,
-            count=ctx.n,
-        )
+        # one id per distinct string over both sides, -1 for missing
+        rows_a, rows_b = ctx.record_strings(self.attribute)
+        ids: dict[str, int] = {}
+
+        def intern(rows):
+            return np.fromiter(
+                (-1 if v is None else ids.setdefault(v, len(ids)) for v in rows),
+                dtype=np.int64,
+                count=len(rows),
+            )
+
+        ids_a = intern(rows_a)
+        ids_b = ids_a if rows_b is rows_a else intern(rows_b)
+        a, b = ids_a[ctx.ua], ids_b[ctx.ub]
+        out = (a == b).astype(np.float64)
+        out[(a < 0) | (b < 0)] = _NAN
+        return out
 
 
 def _parse_number(value):
@@ -540,11 +555,6 @@ class _BatchContext:
                 self._rows[key] = found
             rows.append(found)
         return rows[0], rows[1]
-
-    def pair_strings(self, attribute: str) -> tuple[list, list]:
-        prep_a = self.prepared("a", attribute, "str", self._to_str)
-        prep_b = self.prepared("b", attribute, "str", self._to_str)
-        return [prep_a[i] for i in self.a_ids], [prep_b[i] for i in self.b_ids]
 
     def pair_numbers(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
         def rows_array(side):

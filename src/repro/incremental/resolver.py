@@ -345,13 +345,14 @@ class IncrementalResolver:
             set_gauge(f"shard.store.records.{info['shard']:04d}", info["records"])
 
     def clear_caches(self) -> None:
-        """Release shared featurization caches (Monge–Elkan token cache).
+        """Release the per-pair Monge–Elkan token cache.
 
-        Long-running serving processes resolve unbounded record streams; the
-        token-similarity cache is an LRU bounded by
-        ``REPRO_JW_CACHE_SIZE`` / :func:`repro.features.configure_jw_cache`,
-        but callers that want deterministic memory ceilings can drop it
-        between batches at a small warm-up cost.
+        Only the per-pair path fills that cache: the per-pair feature engine,
+        and the per-pair fallback a batch transform takes when the
+        Monge–Elkan kernel refuses a call. Resolving on the default batch
+        engine never touches it, so there this frees nothing. The cache is
+        an LRU bounded by ``REPRO_JW_CACHE_SIZE`` /
+        :func:`repro.features.configure_jw_cache`.
         """
         clear_feature_caches()
 

@@ -36,10 +36,13 @@ Kernel families:
   the scalar kernels use; a merged class pads each side with its own
   code above U+10FFFF, which matches nothing, and a class of one exact
   bucket takes no padding at all.
-* **Monge–Elkan** — token pairs are deduplicated across the whole batch
-  and scored once with the batch Jaro–Winkler kernel; the per-pair
-  best-match/mean aggregation runs as dense ``(k, |A|, |B|)`` reductions
-  per length bucket.
+* **Monge–Elkan** — equal token tuples share one value id, so each
+  distinct value combination is scored once. The token pairs its cells
+  need are marked in a dense ``Va × Vb`` table (collected by sorting once
+  ``Va · Vb`` passes ``_MONGE_ELKAN_TABLE_ENTRIES``), scored once with the
+  batch Jaro–Winkler kernel and gathered back; the best-match/mean
+  aggregation runs as dense ``(k, |A|, |B|)`` reductions per length
+  bucket.
 
 Integer keys are deduplicated by sorting (``_sorted_unique``,
 ``_unique_inverse``), never through numpy's hash-table ``unique``.
@@ -103,6 +106,20 @@ _MONGE_ELKAN_CELL_BUDGET = 60_000_000
 #: intermediates at ~50 MB regardless of batch size; a single pair over the
 #: cap is split into blocks of its A-token rows.
 _MONGE_ELKAN_CHUNK_CELLS = 2_000_000
+
+#: Entry bound of Monge–Elkan's dense token-pair table. A call whose two
+#: vocabularies span at most ``Va · Vb`` this many entries marks its token
+#: pairs in a ``Va × Vb`` boolean table and reads their scores back from a
+#: float64 one (64 MiB at the bound); a larger call keeps the sorted-key
+#: lookup, whose memory follows its distinct token pairs. Every paper-scale
+#: call fits: the largest, prod_ag's within-table title (2367² = 5.6M
+#: entries), with room to spare.
+_MONGE_ELKAN_TABLE_ENTRIES = 1 << 23
+
+#: Monge–Elkan blocks of at least this many rows take their best matches
+#: with one ``np.maximum`` per token across the block; smaller blocks, such
+#: as a one-record serving batch's, cost less through ``.max(axis=...)``.
+_MONGE_ELKAN_LOOP_ROWS = 256
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
     def _popcount_rows(words: np.ndarray) -> np.ndarray:
@@ -596,7 +613,7 @@ def _codes(strings: Sequence[str], lengths: np.ndarray, pad: int) -> np.ndarray:
 
 
 class _StringValues:
-    """Value-level dedup of record strings: rows → unique value ids."""
+    """Value-level dedup of record strings (or token tuples): rows → value ids."""
 
     def __init__(self, records: Sequence):
         seen: dict[str, int] = {}
@@ -899,6 +916,41 @@ def _class_jaro(A: np.ndarray, B: np.ndarray, la: np.ndarray, lb: np.ndarray) ->
 # Monge–Elkan (hybrid)
 # ---------------------------------------------------------------------------
 
+def _encode_tokens(values: _StringValues) -> tuple[list, np.ndarray, np.ndarray]:
+    """Number one side's distinct tokens: ``(tokens, indptr, token ids)``.
+
+    CSR row ``v`` holds value ``v``'s token ids in token order (the mean
+    over best matches sums in that order); ``tokens[i]`` is token id ``i``.
+    """
+    vocab: dict = {}
+    indptr = np.zeros(len(values.values) + 1, dtype=np.int64)
+    np.cumsum(values.lengths, out=indptr[1:])
+    ids = np.fromiter(
+        (vocab.setdefault(t, len(vocab)) for tokens in values.values for t in tokens),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return list(vocab), indptr, ids
+
+
+def _best_matches(sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column maxima of a ``(k, |A|, |B|)`` block of token-pair scores.
+
+    ``max`` is exact in any order, so a block of at least
+    ``_MONGE_ELKAN_LOOP_ROWS`` rows takes one ``np.maximum`` per token, each
+    across the whole block, instead of ``k · |A|`` short reductions.
+    """
+    if len(sims) < _MONGE_ELKAN_LOOP_ROWS:
+        return sims.max(axis=2), sims.max(axis=1)
+    rows = sims[:, :, 0].copy()
+    for j in range(1, sims.shape[2]):
+        np.maximum(rows, sims[:, :, j], out=rows)
+    cols = sims[:, 0, :].copy()
+    for i in range(1, sims.shape[1]):
+        np.maximum(cols, sims[:, i, :], out=cols)
+    return rows, cols
+
+
 def batch_monge_elkan_jw_indexed(
     records_a: Sequence,
     ua: np.ndarray,
@@ -907,117 +959,110 @@ def batch_monge_elkan_jw_indexed(
 ) -> np.ndarray | None:
     """Batch symmetric Monge–Elkan with Jaro–Winkler inner similarity.
 
-    Matches ``monge_elkan(a, b, inner=jaro_winkler, symmetric=True)`` to
-    float rounding. Pairs are bucketed by token-count shape ``(|A|, |B|)``
+    ``records_a``/``records_b`` hold one token tuple (or ``None``) per
+    record. Matches ``monge_elkan(a, b, inner=jaro_winkler, symmetric=True)``
+    to float rounding. Equal tuples share one value id, so each distinct
+    ``(value_a, value_b)`` combination is scored once and scattered back to
+    its pairs. Combinations are bucketed by token-count shape ``(|A|, |B|)``
     and each bucket is walked in row chunks of at most
-    ``_MONGE_ELKAN_CHUNK_CELLS`` (pair, token, token) cells (a pair over
-    the cap alone, in blocks of its A-token rows), twice: the
-    first pass sorts each chunk's token-pair keys for its distinct keys,
-    whose union is scored once with the batch Jaro–Winkler kernel; the
-    second packs every cell with its position into one int64, so one sort
-    per chunk yields the chunk's distinct keys and each cell's index among
-    them, and only those distinct keys are looked up in the global table.
-    Aggregation runs as dense ``(k, |A|, |B|)`` max/mean reductions.
-    Returns ``None`` (caller should fall back) if the expansion exceeds the
-    cell budget or a packed cell would overflow int64.
+    ``_MONGE_ELKAN_CHUNK_CELLS`` (combination, token, token) cells (one over
+    the cap alone, in blocks of its A-token rows), twice: the first pass
+    collects the token pairs the cells need, which are scored once with the
+    batch Jaro–Winkler kernel, and the second reads every cell's score back.
+    Each side numbers its own tokens. While ``Va · Vb`` stays within
+    ``_MONGE_ELKAN_TABLE_ENTRIES``, both passes index a dense ``Va × Vb``
+    table: one scatter marks a chunk's token pairs, one gather reads its
+    scores. A larger call sorts each chunk's token-pair keys instead: the
+    first pass keeps their distinct keys, and the second packs every cell
+    with its position into one int64, so one sort yields the chunk's
+    distinct keys and each cell's index among them, and only those keys are
+    binary-searched among the scored pairs. Aggregation runs as dense
+    ``(k, |A|, |B|)`` max/mean reductions. Returns ``None`` (caller should
+    fall back) if the expansion exceeds the cell budget or, on the sorted
+    lookup, a packed cell would overflow int64.
     """
-    n = len(ua)
-    vocab: dict = {}
-
-    def encode(records):
-        indptr = np.zeros(len(records) + 1, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        for u, tokens in enumerate(records):
-            ids = (
-                np.fromiter(
-                    (vocab.setdefault(t, len(vocab)) for t in tokens),
-                    dtype=np.int64,
-                    count=len(tokens),
-                )
-                if tokens
-                else np.zeros(0, dtype=np.int64)
-            )
-            rows.append(ids)  # token order preserved — aggregation order matters
-            indptr[u + 1] = indptr[u] + len(ids)
-        tok = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return indptr, tok
-
-    enc_a = encode(records_a)
-    enc_b = enc_a if records_b is records_a else encode(records_b)
-    indptr_a, tok_a = enc_a
-    indptr_b, tok_b = enc_b
-
-    la = np.diff(indptr_a)[ua]
-    lb = np.diff(indptr_b)[ub]
-    missing = _none_flags(records_a)[ua] | _none_flags(records_b)[ub]
-    valid = ~missing & (la > 0) & (lb > 0)
+    vals_a = _StringValues(records_a)
+    vals_b = vals_a if records_b is records_a else _StringValues(records_b)
+    cva, cvb, inverse, missing = _unique_combos(vals_a, ua, vals_b, ub)
+    la, lb = vals_a.lengths[cva], vals_b.lengths[cvb]
+    valid = np.flatnonzero((la > 0) & (lb > 0))
     cells = la[valid] * lb[valid]
     if int(cells.sum()) > _MONGE_ELKAN_CELL_BUDGET:
         return None
+    sims = ((la == 0) & (lb == 0)).astype(np.float64)  # both empty 1.0, one empty 0.0
+    if not len(valid):
+        return _scatter_combos(sims, inverse, missing)
 
-    out = np.zeros(n, dtype=np.float64)
-    out[(la == 0) & (lb == 0) & ~missing] = 1.0
-    out[missing] = _NAN
+    enc_a = _encode_tokens(vals_a)
+    tokens_a, indptr_a, tok_a = enc_a
+    tokens_b, indptr_b, tok_b = enc_a if vals_b is vals_a else _encode_tokens(vals_b)
+    # a cell's key is token_a · Vb + token_b: its entry in the dense table
+    entries = len(tokens_a) * len(tokens_b)
+    dense = entries <= _MONGE_ELKAN_TABLE_ENTRIES
+    if not dense:
+        # A chunk holds at most max(cap, largest |A|·|B|) cells, each packed
+        # as (key << bits) | position; refuse what int64 can't hold.
+        bits = (max(_MONGE_ELKAN_CHUNK_CELLS, int(cells.max())) - 1).bit_length()
+        if entries << bits > 1 << 63:
+            return None
+    keys_a = tok_a * len(tokens_b)
 
-    vocab_size = max(len(vocab), 1)
-    valid_idx = np.flatnonzero(valid)
-    if not len(valid_idx):
-        return out
-    # A chunk holds at most max(cap, largest |A|·|B|) cells, each packed as
-    # (key << bits) | position with key < vocab²; refuse what int64 can't hold.
-    bits = (max(_MONGE_ELKAN_CHUNK_CELLS, int(cells.max())) - 1).bit_length()
-    if vocab_size * vocab_size << bits > 1 << 63:
-        return None
+    buckets = [
+        (ka, kb, valid[members])
+        for (ka, kb), members in _length_buckets(la[valid], lb[valid]).items()
+    ]
 
-    # Bucket valid pairs by (|A|, |B|) so each bucket is a dense
-    # (k, |A|, |B|) block, processed in row chunks to bound the transient
-    # key/sim intermediates. First pass collects every token-id pair needed.
-    buckets = _length_buckets(la[valid_idx], lb[valid_idx])
-    bucket_members = []
-    for (ka, kb), members in buckets.items():
-        rows = valid_idx[members]
-        bucket_members.append(((ka, kb), rows, indptr_a[ua[rows]], indptr_b[ub[rows]]))
-
-    def chunked_keys(ka, kb, starts_a, starts_b):
+    def blocks():
         # token-id matrices are re-gathered per chunk (never retained), so
         # the transient (chunk, rows, kb) intermediates stay within the cap;
-        # a pair over the cap alone is split into blocks of its A-token rows
-        chunk = max(1, _MONGE_ELKAN_CHUNK_CELLS // (ka * kb))
-        block = max(1, _MONGE_ELKAN_CHUNK_CELLS // kb)
-        for s in range(0, len(starts_a), chunk):
-            B = tok_b[starts_b[s : s + chunk, None] + np.arange(kb, dtype=np.int64)]
-            for r in range(0, ka, block):
-                tokens_a = np.arange(r, min(r + block, ka), dtype=np.int64)
-                A = tok_a[starts_a[s : s + chunk, None] + tokens_a]
-                yield s, s + chunk, r, A[:, :, None] * vocab_size + B[:, None, :]
+        # a combination over the cap alone is split into blocks of its
+        # A-token rows
+        for ka, kb, rows in buckets:
+            starts_a, starts_b = indptr_a[cva[rows]], indptr_b[cvb[rows]]
+            chunk = max(1, _MONGE_ELKAN_CHUNK_CELLS // (ka * kb))
+            block = max(1, _MONGE_ELKAN_CHUNK_CELLS // kb)
+            for s in range(0, len(rows), chunk):
+                B = tok_b[starts_b[s : s + chunk, None] + np.arange(kb, dtype=np.int64)]
+                for r in range(0, ka, block):
+                    tokens = np.arange(r, min(r + block, ka), dtype=np.int64)
+                    A = keys_a[starts_a[s : s + chunk, None] + tokens]
+                    last = r + block >= ka
+                    yield rows[s : s + chunk], r == 0, last, A[:, :, None] + B[:, None, :]
 
-    bucket_keys = [
-        _sorted_unique(keys)
-        for (ka, kb), _rows, starts_a, starts_b in bucket_members
-        for _s, _e, _r, keys in chunked_keys(ka, kb, starts_a, starts_b)
-    ]
-    unique_keys = _sorted_unique(np.concatenate(bucket_keys))
-    tokens = list(vocab)
-    inner_a = unique_keys // vocab_size
-    inner_b = unique_keys % vocab_size
-    jw_table = batch_jaro_winkler_indexed(tokens, inner_a, tokens, inner_b)
+    if dense:
+        needed = np.zeros(entries, dtype=bool)
+        for *_, keys in blocks():
+            needed[keys] = True
+        pairs = np.flatnonzero(needed)
+        del needed  # before the float64 table: one of the two alive at a time
+    else:
+        pairs = _sorted_unique(np.concatenate([_sorted_unique(keys) for *_, keys in blocks()]))
+    jw = batch_jaro_winkler_indexed(
+        tokens_a, pairs // len(tokens_b), tokens_b, pairs % len(tokens_b)
+    )
+    if dense:
+        table = np.empty(entries, dtype=np.float64)
+        table[pairs] = jw
+        lookup = table.take
+    else:
+        def lookup(keys):
+            distinct, cell = _unique_inverse(keys)
+            return jw[np.searchsorted(pairs, distinct)][cell]
 
-    for (ka, kb), rows, starts_a, starts_b in bucket_members:
-        for s, e, r, keys in chunked_keys(ka, kb, starts_a, starts_b):
-            distinct, inverse = _unique_inverse(keys)
-            sims = jw_table[np.searchsorted(unique_keys, distinct)][inverse]
-            # forward: the mean of every A token's best match; backward: of
-            # every B token's, a running max over the row blocks
-            if r == 0:
-                row_best, col_best = [], sims.max(axis=1)
-            else:
-                np.maximum(col_best, sims.max(axis=1), out=col_best)
-            row_best.append(sims.max(axis=2))
-            if r + sims.shape[1] == ka:
-                forward = np.concatenate(row_best, axis=1).mean(axis=1)
-                out[rows[s:e]] = 0.5 * (forward + col_best.mean(axis=1))
-            del keys, inverse, sims  # one block's cells alive at a time
-    return out
+    for rows, first, last, keys in blocks():
+        row_max, col_max = _best_matches(lookup(keys))
+        del keys  # one block's cells alive at a time
+        # forward: the mean of every A token's best match; backward: of
+        # every B token's, a running max over the row blocks
+        if first:
+            row_best, col_best = [row_max], col_max
+        else:
+            row_best.append(row_max)
+            np.maximum(col_best, col_max, out=col_best)
+        if last:
+            forward = np.concatenate(row_best, axis=1).mean(axis=1)
+            sims[rows] = 0.5 * (forward + col_best.mean(axis=1))
+    return _scatter_combos(sims, inverse, missing)
 
 
 def batch_monge_elkan_jw(bags_a: Sequence, bags_b: Sequence) -> np.ndarray | None:
@@ -1025,4 +1070,8 @@ def batch_monge_elkan_jw(bags_a: Sequence, bags_b: Sequence) -> np.ndarray | Non
     if len(bags_a) != len(bags_b):
         raise ValueError("bags_a and bags_b must be aligned per pair")
     idx = _pair_positions(len(bags_a))
-    return batch_monge_elkan_jw_indexed(bags_a, idx, bags_b, idx)
+    return batch_monge_elkan_jw_indexed(_tuples(bags_a), idx, _tuples(bags_b), idx)
+
+
+def _tuples(bags: Sequence) -> list:
+    return [None if bag is None else tuple(bag) for bag in bags]

@@ -1,16 +1,18 @@
 """Reference featurization kernels: the parity oracle for the batch kernels.
 
 The production kernels in :mod:`repro.text.batch` deduplicate integer keys
-by sorting (``_sorted_unique``, ``_unique_inverse``), Monge–Elkan finds
-each chunk's cells through that chunk's own distinct keys, and the edit
-kernels merge neighbouring length buckets into padded, masked passes. They
-are held to the previous kernels kept here:
+by sorting (``_sorted_unique``, ``_unique_inverse``), Monge–Elkan scores
+each distinct value combination once and finds its cells' token pairs in a
+dense table (or, past the table budget, through each chunk's own distinct
+sorted keys), and the edit kernels merge neighbouring length buckets into
+padded, masked passes. They are held to the previous kernels kept here:
 
 * :func:`numpy.unique`, which takes a hash table on numpy ≥ 2.3, in place of
   ``_sorted_unique`` (token sets, q-gram windows);
 * :func:`reference_monge_elkan_jw_indexed` — the Monge–Elkan kernel that
-  deduplicates with :func:`numpy.unique` and finds every (pair, token,
-  token) cell in the global Jaro–Winkler table with one binary search;
+  scores every pair (no value dedup), deduplicates token pairs with
+  :func:`numpy.unique` and finds every (pair, token, token) cell in the
+  global Jaro–Winkler table with one binary search;
 * :func:`reference_levenshtein_similarity_indexed` and
   :func:`reference_jaro_winkler_indexed` — the edit kernels that run one
   dynamic program per exact ``(|a|, |b|)`` length bucket and score buckets

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.features.generator import FeatureGenerator
+from repro.features.generator import FeatureGenerator, clear_feature_caches, jw_cache_info
 from repro.features.types import AttributeType
 
 
@@ -112,3 +112,72 @@ class TestTransform:
         price_specs = [s for s in gen.features_ if s.attribute == "price" and hasattr(s, "scale")]
         abs_spec = [s for s in price_specs if getattr(s, "kind", None) == "absolute"][0]
         assert abs_spec.scale > 0.0
+
+
+class TestExactFeature:
+    """The batch exact-match column compares interned value ids."""
+
+    @pytest.fixture
+    def coded(self):
+        left = Table(
+            [
+                {"id": "l1", "code": "Zürich"},
+                {"id": "l2", "code": None},
+                {"id": "l3", "code": "北京"},
+                {"id": "l4", "code": 1999},
+                {"id": "l5", "code": "𝕏 ray"},
+            ],
+            attributes=["code"],
+        )
+        right = Table(
+            [
+                {"id": "r1", "code": "Zürich"},
+                {"id": "r2", "code": "zurich"},
+                {"id": "r3", "code": "北京"},
+                {"id": "r4", "code": None},
+                {"id": "r5", "code": "1999"},
+                {"id": "r6", "code": "𝕏 ray"},
+            ],
+            attributes=["code"],
+        )
+        gen = FeatureGenerator(type_overrides={"code": AttributeType.BOOLEAN}).fit(left, right)
+        assert gen.feature_names_ == ["code_exact"]
+        return left, right, gen
+
+    def test_cross_batch_values(self, coded):
+        left, right, gen = coded
+        pairs = [(l, r) for l in left.ids() for r in right.ids()]
+        X = gen.transform(left, right, pairs)[:, 0]
+        got = dict(zip(pairs, X.tolist()))
+        # equal strings on the two sides share an id, whatever their script
+        assert got[("l1", "r1")] == 1.0 and got[("l3", "r3")] == 1.0
+        assert got[("l5", "r6")] == 1.0
+        assert got[("l4", "r5")] == 1.0  # compared as strings, like exact_match
+        assert got[("l1", "r2")] == 0.0 and got[("l3", "r1")] == 0.0
+        assert np.isnan(got[("l2", "r1")]) and np.isnan(got[("l1", "r4")])
+        assert np.isnan(got[("l2", "r4")])
+        per_pair = gen.transform(left, right, pairs, engine="per-pair")[:, 0]
+        assert X.tobytes() == per_pair.tobytes()
+
+    def test_dedup_batch_matches_per_pair(self, coded):
+        left, _, gen = coded
+        ids = left.ids()
+        pairs = [(a, b) for a in ids for b in ids]
+        X = gen.transform(left, None, pairs)[:, 0]
+        assert X.tobytes() == gen.transform(left, None, pairs, engine="per-pair")[:, 0].tobytes()
+        assert set(X[np.isfinite(X)].tolist()) == {0.0, 1.0}
+
+
+def test_batch_transform_leaves_jw_token_cache_untouched(tables):
+    # the Jaro–Winkler token cache serves the per-pair path only
+    left, right = tables
+    gen = FeatureGenerator().fit(left, right)
+    assert any(name.endswith("_me_jw") for name in gen.feature_names_)
+    pairs = [(l, r) for l in ("l1", "l2") for r in ("r1", "r2")]
+    clear_feature_caches()
+    gen.transform(left, right, pairs)
+    info = jw_cache_info()
+    assert info["hits"] == info["misses"] == info["currsize"] == 0
+    gen.transform(left, right, pairs, engine="per-pair")
+    assert jw_cache_info()["misses"] > 0
+    clear_feature_caches()

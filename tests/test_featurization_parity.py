@@ -1,23 +1,27 @@
 """Featurization kernels vs the reference kernels (``reference_batch``).
 
-The acceptance bar for hash-free deduplication, the packed-sort
-Monge–Elkan lookup and the length-class edit kernels in
-:mod:`repro.text.batch`:
+The acceptance bar for hash-free deduplication, the Monge–Elkan kernel's
+two token-pair lookups (the dense table and the sorted keys past its
+budget) and the length-class edit kernels in :mod:`repro.text.batch`:
 
 * ``_sorted_unique`` equals ``np.unique`` and ``_unique_inverse`` equals
   ``np.unique(..., return_inverse=True)`` (values and inverse) on
   hypothesis-drawn arrays, lengths 1, 2 and 2^k ± 1, all-equal arrays and
   keys at the largest value the packing allows; empty input is handled;
-* Monge–Elkan is bit-identical to the reference kernel with the chunk cap
-  forced down to 1, 3 and 7 cells, so that most pairs are larger than the
-  cap and split their token rows into blocks; one real oversized pair
-  stays within a bounded transient peak;
-* a vocabulary whose packed cells would overflow int64 makes the kernel
+* Monge–Elkan is bit-identical to the reference kernel under both lookups:
+  on hypothesis-drawn bags (whole tuples repeated, ``None``, ``()``,
+  non-BMP characters, lone surrogates), and with the chunk cap forced down
+  to 1, 3 and 7 cells, so that most pairs are larger than the cap and
+  split their token rows into blocks; a pair scored alone equals the same
+  pair inside the batch; one real oversized pair stays within a bounded
+  transient peak;
+* the table budget picks the lookup, and on the sorted lookup a
+  vocabulary whose packed cells would overflow int64 makes the kernel
   refuse, and the feature generator falls back to per-pair values;
 * on the six fixture datasets the cross matrix and both within-table
-  matrices are bit-identical to the oracle's, NaNs included; the oracle
-  also swaps in the per-bucket Jaro–Winkler and Levenshtein kernels with
-  their scalar fallback.
+  matrices are bit-identical to the oracle's, NaNs included, under both
+  lookups; the oracle also swaps in the per-bucket Jaro–Winkler and
+  Levenshtein kernels with their scalar fallback.
 
 ``REPRO_EM_PARITY_SCALE=paper`` (the ``em-parity`` CI job) runs the six
 datasets at paper scale; tier-1 leaves it unset and runs them at tiny
@@ -26,6 +30,7 @@ scale.
 
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +52,14 @@ SCALE = "paper" if PAPER else "tiny"
 DATASETS = ("rest_fz", "pub_da", "pub_ds", "mv_ri", "prod_ab", "prod_ag")
 
 INT64_MAX = np.iinfo(np.int64).max
+
+#: Monge–Elkan's token-pair lookups by table budget: at 2**40 entries every
+#: call takes the dense table, at 0 every call the sorted keys.
+LOOKUPS = {"dense": 2**40, "sorted": 0}
+
+#: Monge–Elkan's best-match paths by row threshold: at 1 every block takes
+#: one ``np.maximum`` per token, at 2**40 every block ``.max(axis=...)``.
+MAXIMA = {"loop": 1, "reduce": 2**40}
 
 
 def _max_packable_key(n: int) -> int:
@@ -155,14 +168,94 @@ def test_monge_elkan_small_chunks_match_reference(monkeypatch, cap, seed):
     len_b = np.array([len(bag or ()) for bag in bags_b])
     assert (len_a[ua] * len_b[ub] > cap).mean() > 0.5  # most pairs: one-pair chunks over the cap
 
-    got = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_b, ub)
-    want = reference_monge_elkan_jw_indexed(bags_a, ua, bags_b, ub)
-    assert np.array_equal(got, want, equal_nan=True)
-
+    cross = reference_monge_elkan_jw_indexed(bags_a, ua, bags_b, ub)
     # one record list on both sides (within-table pairs) shares its encoding
-    got = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
-    want = reference_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
-    assert np.array_equal(got, want, equal_nan=True)
+    within = reference_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
+    for lookup, entries in LOOKUPS.items():
+        monkeypatch.setattr(batch, "_MONGE_ELKAN_TABLE_ENTRIES", entries)
+        got = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_b, ub)
+        assert got.tobytes() == cross.tobytes(), lookup
+        got = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_a, ua[::-1])
+        assert got.tobytes() == within.tobytes(), lookup
+
+
+# One character per draw: ASCII, a non-BMP character and both lone-surrogate
+# ends. Bags come from a small pool, so whole tuples repeat across records
+# and equal tuples sit under different record rows.
+_ME_TOKENS = st.text(
+    alphabet=st.sampled_from(["a", "b", "c", "\U0001d54f", "\ud800", "\udfff"]), max_size=5
+)
+_ME_BAGS = st.one_of(st.none(), st.just(()), st.lists(_ME_TOKENS, max_size=6).map(tuple))
+
+
+@st.composite
+def _bag_batches(draw):
+    """Two record lists drawn from one bag pool, and 1–80 pairs over them."""
+    pool = draw(st.lists(_ME_BAGS, min_size=1, max_size=10))
+    records = st.lists(st.sampled_from(pool), min_size=1, max_size=16)
+    records_a, records_b = draw(records), draw(records)
+    n = draw(st.integers(1, 80))
+    ua = draw(st.lists(st.integers(0, len(records_a) - 1), min_size=n, max_size=n))
+    ub = draw(st.lists(st.integers(0, len(records_b) - 1), min_size=n, max_size=n))
+    return records_a, np.array(ua, dtype=np.int64), records_b, np.array(ub, dtype=np.int64)
+
+
+#: Every (lookup, best-match path) combination, as (label, entries, rows).
+KERNEL_PATHS = [
+    (f"{lookup}-{maxima}", entries, rows)
+    for lookup, entries in LOOKUPS.items()
+    for maxima, rows in MAXIMA.items()
+]
+
+
+def _monge_elkan_under(entries, rows, *args):
+    """The kernel with its table budget and loop-row threshold patched."""
+    with mock.patch.multiple(
+        batch, _MONGE_ELKAN_TABLE_ENTRIES=entries, _MONGE_ELKAN_LOOP_ROWS=rows
+    ):
+        return batch.batch_monge_elkan_jw_indexed(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bag_batches())
+def test_monge_elkan_matches_reference_under_both_lookups(bags):
+    records_a, ua, records_b, ub = bags
+    for args in ((records_a, ua, records_b, ub), (records_a, ua, records_a, ua[::-1])):
+        want = reference_monge_elkan_jw_indexed(*args)
+        for label, entries, rows in KERNEL_PATHS:
+            assert _monge_elkan_under(entries, rows, *args).tobytes() == want.tobytes(), label
+
+
+@settings(max_examples=30, deadline=None)
+@given(_bag_batches())
+def test_monge_elkan_pair_alone_equals_pair_in_batch(bags):
+    records_a, ua, records_b, ub = bags
+    first = np.zeros(1, dtype=np.int64)
+    for label, entries, rows in KERNEL_PATHS:
+        whole = _monge_elkan_under(entries, rows, records_a, ua, records_b, ub)
+        alone = np.concatenate(
+            [
+                _monge_elkan_under(entries, rows, [records_a[i]], first, [records_b[j]], first)
+                for i, j in zip(ua.tolist(), ub.tolist())
+            ]
+        )
+        assert alone.tobytes() == whole.tobytes(), label
+
+
+def test_table_budget_selects_the_lookup(monkeypatch):
+    # 3 tokens on the left, 4 on the right: a 12-entry table; the sorted
+    # lookup is the one that packs cells through _unique_inverse
+    bags_a, bags_b = [("ab", "cd"), ("ef",)], [("ab", "x"), ("y", "zz")]
+    ua, ub = np.array([0, 1, 0]), np.array([0, 1, 1])
+    packed = mock.Mock(wraps=batch._unique_inverse)
+    monkeypatch.setattr(batch, "_unique_inverse", packed)
+    results = {}
+    for entries in (12, 11):
+        monkeypatch.setattr(batch, "_MONGE_ELKAN_TABLE_ENTRIES", entries)
+        packed.reset_mock()
+        results[entries] = batch.batch_monge_elkan_jw_indexed(bags_a, ua, bags_b, ub)
+        assert packed.called is (entries == 11), entries
+    assert results[12].tobytes() == results[11].tobytes()
 
 
 def test_monge_elkan_oversized_pair_memory_is_bounded():
@@ -184,8 +277,10 @@ def test_monge_elkan_oversized_pair_memory_is_bounded():
 
 
 def test_packing_guard_boundary(monkeypatch):
-    # with a 2**40-cell cap each cell needs 40 position bits, so vocab² must
-    # stay at or below 2**23: 2896 tokens pack, 2897 do not
+    # on the sorted lookup, with a 2**40-cell cap each cell needs 40
+    # position bits, so vocab² must stay at or below 2**23: 2896 tokens
+    # pack, 2897 do not
+    monkeypatch.setattr(batch, "_MONGE_ELKAN_TABLE_ENTRIES", 0)
     monkeypatch.setattr(batch, "_MONGE_ELKAN_CHUNK_CELLS", 2**40)
     idx = np.zeros(1, dtype=np.int64)
     for vocab, refused in ((2896, False), (2897, True)):
@@ -195,6 +290,7 @@ def test_packing_guard_boundary(monkeypatch):
 
 
 def test_packing_overflow_falls_back_to_per_pair(monkeypatch):
+    monkeypatch.setattr(batch, "_MONGE_ELKAN_TABLE_ENTRIES", 0)  # the sorted lookup
     rng = np.random.default_rng(7)
     tokens = _token_pool(rng, 3000, alphabet="abcdefghijklmnopqrstuvwxyz")
     n, width = 600, 5
@@ -226,8 +322,15 @@ def test_packing_overflow_falls_back_to_per_pair(monkeypatch):
 # -- whole transforms ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", DATASETS)
-def test_dataset_matrices_match_reference(name):
+@pytest.mark.parametrize(
+    "name,lookup",
+    [pytest.param(name, "dense", id=name) for name in DATASETS]
+    + [pytest.param(name, "sorted", id=f"{name}-sorted") for name in DATASETS],
+)
+def test_dataset_matrices_match_reference(monkeypatch, name, lookup):
+    # at the default budget every fixture call takes the dense table
+    if lookup == "sorted":
+        monkeypatch.setattr(batch, "_MONGE_ELKAN_TABLE_ENTRIES", LOOKUPS["sorted"])
     bench = load_benchmark(name, scale=SCALE, seed=11)
     blocker = blocker_for(name)
     pairs = blocker.block(bench.left, bench.right)

@@ -1,7 +1,10 @@
 """Tests for the experiment harness (on the tiny scale)."""
 
+from collections import defaultdict
+
 import pytest
 
+from repro import load_benchmark
 from repro.core import ZeroERConfig
 from repro.eval.harness import (
     blocker_for,
@@ -37,6 +40,40 @@ class TestCoCandidatePairs:
         cross = [("l1", "r1"), ("l1", "r2"), ("l2", "r1"), ("l2", "r2")]
         pairs = co_candidate_pairs(cross, side=1)
         assert len(pairs) == len(set(pairs)) == 1
+
+    def test_same_list_as_two_reprs_per_pair_on_mixed_ids(self):
+        # the output order sets the row order of the within-table matrices
+        bench = load_benchmark("pub_da", scale="tiny", seed=3)
+        blocked = blocker_for("pub_da").block(bench.left, bench.right)
+        ids = sorted({rid for pair in blocked for rid in pair})
+        # ints, digit strings and the original ids: repr orders strings
+        # before ints, and "'10'" before "'9'"
+        mixed = {rid: (k, str(k), rid)[k % 3] for k, rid in enumerate(ids)}
+        cross = [(mixed[a], mixed[b]) for a, b in blocked]
+        for side in (0, 1):
+            for cap in (1, 2, 3, 8, 50):
+                want = _co_candidate_pairs_two_reprs(cross, side, cap)
+                assert co_candidate_pairs(cross, side=side, cap=cap) == want, (side, cap)
+        assert len(_co_candidate_pairs_two_reprs(cross, 1, 8)) > 100
+
+
+def _co_candidate_pairs_two_reprs(cross_pairs, side, cap):
+    """``co_candidate_pairs`` as first written: two ``repr`` calls per pair."""
+    anchor = 1 - side
+    grouped = defaultdict(list)
+    for pair in cross_pairs:
+        grouped[pair[anchor]].append(pair[side])
+    out, seen = [], set()
+    for members in grouped.values():
+        members = members[:cap]
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                a, b = members[i], members[j]
+                key = (a, b) if repr(a) <= repr(b) else (b, a)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+    return out
 
 
 class TestPrepareDataset:
