@@ -1,12 +1,14 @@
-"""Sparse columnar blocking engine vs the per-record reference path.
+"""Sparse columnar blocking kernel vs the per-record reference loop.
 
 Blocking is what makes ZeroER feasible at all (paper §2.1, §5.2): the
 O(|T1|·|T2|) pair space must shrink to a candidate set before
 featurization. After the featurization hot path went columnar (PR 2), the
-per-record Counter loops in ``TokenOverlapBlocker`` became the dominant
-cost on large tables; this bench times both engines on the same workloads
-at multiple table scales — linkage and dedup — asserts the pair lists are
-bit-identical, and emits ``BENCH_blocking.json``.
+per-record Counter loop in ``TokenOverlapBlocker`` became the dominant
+cost on large tables, and the blocker moved to a sparse kernel; the loop
+stays in the test suite as the parity oracle
+(``tests/reference_blocking.py``). This bench times both on the same
+workloads at multiple table scales — linkage and dedup — asserts the pair
+lists are bit-identical, and emits ``BENCH_blocking.json``.
 
 The acceptance bar (ISSUE 3): ≥5x blocking speedup on the largest
 workload. Set ``REPRO_BENCH_SMOKE=1`` for a seconds-long CI smoke run
@@ -17,6 +19,7 @@ import os
 import time
 
 from _bench_utils import bench_workload, emit, one_shot, write_bench_report
+from reference_blocking import PerRecordBlocker
 
 from repro.blocking import TokenOverlapBlocker
 from repro.data import load_benchmark
@@ -54,12 +57,13 @@ def _tables(name: str, scale: str, mode: str):
 
 def _run_workload(name, scale, mode, min_overlap, top_k):
     attr, left, right = _tables(name, scale, mode)
+    blocker = TokenOverlapBlocker(attr, min_overlap=min_overlap, top_k=top_k)
+    paths = {"per-record": PerRecordBlocker(blocker).block, "sparse": blocker.block}
     results = {}
     pair_lists = {}
-    for engine in ("per-record", "sparse"):
-        blocker = TokenOverlapBlocker(attr, min_overlap=min_overlap, top_k=top_k, engine=engine)
+    for engine, block in paths.items():
         started = time.perf_counter()
-        pair_lists[engine] = blocker.block(left, right)
+        pair_lists[engine] = block(left, right)
         results[engine] = time.perf_counter() - started
     # a fast wrong answer is no answer: same pairs, same order
     assert pair_lists["sparse"] == pair_lists["per-record"]

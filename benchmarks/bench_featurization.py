@@ -1,9 +1,10 @@
-"""Columnar batch featurization vs the per-pair reference path.
+"""Columnar batch featurization vs the per-pair reference loop.
 
 Featurizing the blocked candidate set dominates ZeroER's end-to-end cost
-(paper §2.1, §5.5). This bench scores the same candidate sets with both
-`FeatureGenerator.transform` engines — the columnar batch kernels and the
-per-pair reference loop — and reports throughput plus a per-feature-family
+(paper §2.1, §5.5). This bench scores the same candidate sets with
+`FeatureGenerator.transform` — the columnar batch kernels — and with the
+test suite's per-pair oracle (``reference_batch.per_pair_transform``), and
+reports throughput plus a per-feature-family
 breakdown (token / hybrid / edit / tfidf / exact / numeric), emitting the
 printed table and a machine-readable ``BENCH_featurization.json``.
 
@@ -24,6 +25,7 @@ from collections import defaultdict
 import numpy as np
 
 from _bench_utils import bench_workload, emit, one_shot, write_bench_report
+from reference_batch import per_pair_transform
 
 from repro.data import load_benchmark
 from repro.eval.harness import blocker_for, format_table
@@ -68,17 +70,18 @@ def _run_engines(ds, pairs):
     family = {spec.name: spec.family for spec in gen.features_}
     results = {}
     matrices = {}
-    for engine in ("per-pair", "batch"):
-        clear_feature_caches()  # neither engine inherits a warm token cache
+    paths = {"per-pair": per_pair_transform, "batch": FeatureGenerator.transform}
+    for engine, transform in paths.items():
+        clear_feature_caches()  # neither path inherits a warm token cache
         timings: dict[str, float] = {}
         started = time.perf_counter()
-        matrices[engine] = gen.transform(ds.left, ds.right, pairs, engine=engine, timings=timings)
+        matrices[engine] = transform(gen, ds.left, ds.right, pairs, timings=timings)
         seconds = time.perf_counter() - started
         per_family = defaultdict(float)
         for name, sec in timings.items():
             per_family[family[name]] += sec
         results[engine] = {"seconds": seconds, "families": dict(per_family)}
-    # the two engines must agree — a fast wrong answer is no answer
+    # the two paths must agree — a fast wrong answer is no answer
     X_batch, X_ref = matrices["batch"], matrices["per-pair"]
     assert np.array_equal(np.isnan(X_batch), np.isnan(X_ref))
     assert np.allclose(np.nan_to_num(X_batch), np.nan_to_num(X_ref), rtol=1e-9, atol=1e-12)

@@ -15,7 +15,7 @@ batch resolves faster than the full re-run by a wide margin.
 The second bench measures what sharding alone buys on synthetic corpora
 of 10k / 100k / 1M records built from the corruption operators, emitting
 ``BENCH_shard.json``: resolve time with 8 shards vs 1 shard at every
-scale, both with one worker — bit-identical results asserted — plus an
+scale — bit-identical results asserted — plus an
 out-of-core leg where the saved store's mapped artifacts exceed the
 configured in-process load budget. Set ``REPRO_BENCH_SMOKE=1`` for a
 seconds-long CI run (smallest scale, no JSON); ``REPRO_BENCH_MAX_SCALE``
@@ -144,8 +144,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: ``BENCH_shard.json`` comes from the full run; CI caps the list with
 #: ``REPRO_BENCH_MAX_SCALE=100000`` and smoke keeps only the smallest.
 SHARD_SCALES = (10_000, 100_000, 1_000_000)
-#: Both sides featurize in-process, so the comparison credits sharding alone.
-SHARDS, WORKERS = 8, 1
+SHARDS = 8
 SHARD_SEED = 23
 FIT_N = 1_500
 PROBE_N = 50 if SMOKE else 200
@@ -241,7 +240,6 @@ def _out_of_core_leg(sharded, reference, corpus, rng, tmp_path) -> dict:
     assert mapped_bytes > budget_bytes
     # lazy loading: a 32-record batch touches a subset of the 2×SHARDS maps
     assert 0 < stats["loaded_shards"] <= 2 * SHARDS
-    loaded.close()
     return {
         "mapped_bytes": mapped_bytes,
         "budget_bytes": budget_bytes,
@@ -270,51 +268,46 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
         rows, out_of_core = [], None
         for scale in scales:
             corpus = corpus_full[:scale]
-            single = pipeline.freeze(workers=WORKERS)
-            sharded = pipeline.freeze(shards=SHARDS, workers=WORKERS)
-            try:
-                single_ingest = _grow(single, corpus)
-                sharded_ingest = _grow(sharded, corpus)
-                warm = _probe_batch(corpus, rng, 16, f"warm{scale}")
-                timed = _probe_batch(corpus, rng, PROBE_N, f"probe{scale}")
-                single.resolve(warm)  # warm the featurization caches once
-                sharded.resolve(warm)
+            single = pipeline.freeze()
+            sharded = pipeline.freeze(shards=SHARDS)
+            single_ingest = _grow(single, corpus)
+            sharded_ingest = _grow(sharded, corpus)
+            warm = _probe_batch(corpus, rng, 16, f"warm{scale}")
+            timed = _probe_batch(corpus, rng, PROBE_N, f"probe{scale}")
+            single.resolve(warm)  # warm the featurization caches once
+            sharded.resolve(warm)
 
-                started = time.perf_counter()
-                reference = single.resolve(timed)
-                single_sec = time.perf_counter() - started
-                started = time.perf_counter()
-                out = sharded.resolve(timed)
-                sharded_sec = time.perf_counter() - started
+            started = time.perf_counter()
+            reference = single.resolve(timed)
+            single_sec = time.perf_counter() - started
+            started = time.perf_counter()
+            out = sharded.resolve(timed)
+            sharded_sec = time.perf_counter() - started
 
-                # a fast wrong answer is no answer: bit-identical scoring
-                assert out.pairs == reference.pairs
-                assert out.matches == reference.matches
-                assert np.array_equal(out.scores, reference.scores)
+            # a fast wrong answer is no answer: bit-identical scoring
+            assert out.pairs == reference.pairs
+            assert out.matches == reference.matches
+            assert np.array_equal(out.scores, reference.scores)
 
-                rows.append(
-                    bench_workload(
-                        "synthetic",
-                        "sharded",
-                        sharded_sec,
-                        baseline_engine="1-shard",
-                        baseline_seconds=single_sec,
-                        scale=scale,
-                        probes=PROBE_N,
-                        pairs_scored=len(out.pairs),
-                        matches=len(out.matches),
-                        shards=SHARDS,
-                        workers=WORKERS,
-                        records_per_sec=round(PROBE_N / max(sharded_sec, 1e-9)),
-                        ingest_sec=round(sharded_ingest, 4),
-                        baseline_ingest_sec=round(single_ingest, 4),
-                    )
+            rows.append(
+                bench_workload(
+                    "synthetic",
+                    "sharded",
+                    sharded_sec,
+                    baseline_engine="1-shard",
+                    baseline_seconds=single_sec,
+                    scale=scale,
+                    probes=PROBE_N,
+                    pairs_scored=len(out.pairs),
+                    matches=len(out.matches),
+                    shards=SHARDS,
+                    records_per_sec=round(PROBE_N / max(sharded_sec, 1e-9)),
+                    ingest_sec=round(sharded_ingest, 4),
+                    baseline_ingest_sec=round(single_ingest, 4),
                 )
-                if scale == scales[-1] and not SMOKE:
-                    out_of_core = _out_of_core_leg(sharded, single, corpus, rng, tmp_path)
-            finally:
-                single.close()
-                sharded.close()
+            )
+            if scale == scales[-1] and not SMOKE:
+                out_of_core = _out_of_core_leg(sharded, single, corpus, rng, tmp_path)
         return rows, out_of_core
 
     rows, out_of_core = one_shot(benchmark, run)
@@ -335,8 +328,7 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
     emit(capfd, format_table(
         table_rows,
         ["store", "pairs", "matches", "1shard_sec", "sharded_sec", "speedup", "rec/s"],
-        title=f"{SHARDS} shards vs 1 shard ({WORKERS} worker), "
-              f"{PROBE_N}-record resolve batches",
+        title=f"{SHARDS} shards vs 1 shard, {PROBE_N}-record resolve batches",
     ))
     if out_of_core is not None:
         emit(
@@ -354,7 +346,6 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
         "seed": SHARD_SEED,
         "fit_records": FIT_N,
         "shards": SHARDS,
-        "workers": WORKERS,
         "probes": PROBE_N,
         "out_of_core": out_of_core,
     })

@@ -11,9 +11,18 @@ threshold costs ~10× in synchronization overhead — it would corrupt the
 Figure 5 per-iteration timings (and slow the whole suite down). This must
 happen before numpy first loads, which is why it lives at conftest import
 time.
+
+The reference loops the blocking and featurization benches time the
+production path against are the test suite's parity oracles
+(``tests/reference_blocking.py``, ``tests/reference_batch.py``), so
+``tests/`` goes on the import path.
 """
 
 import os
+import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))

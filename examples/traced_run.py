@@ -24,7 +24,7 @@ def print_tree(nodes, indent: int = 0) -> None:
         label = f"{'  ' * indent}{node['name']:<28}"
         extra = ""
         attrs = node["attributes"]
-        for key in ("n_pairs", "n_candidates", "n_iterations", "engine"):
+        for key in ("n_pairs", "n_candidates", "n_iterations"):
             if key in attrs:
                 extra += f"  {key}={attrs[key]}"
         print(f"{label}{node['seconds'] * 1e3:8.1f} ms{extra}")

@@ -31,17 +31,17 @@ workflows:
 
     Stores larger than RAM can be sharded at freeze time: ``--shards N``
     partitions the store and index across N hash shards with memory-mapped
-    per-shard artifacts, ``--workers`` adds parallel featurization, and
-    ``--load-budget-mb`` caps how much of the store a later ``resolve`` /
-    ``serve`` keeps mapped at once (see ``docs/architecture.md``)::
+    per-shard artifacts, and ``--load-budget-mb`` caps how much of the
+    store a later ``resolve`` / ``serve`` keeps mapped at once (see
+    ``docs/architecture.md``)::
 
         python -m repro fit --left big.csv --block-on name --artifacts art/ \
-            --shards 8 --workers 4 --load-budget-mb 512
+            --shards 8 --load-budget-mb 512
 
 ``resolve``
     Stream a batch of new records against saved artifacts — no re-fit, the
-    store and artifacts are updated in place (``--workers`` overrides the
-    frozen worker count; a second line prints per-shard statistics)::
+    store and artifacts are updated in place (a second line prints
+    per-shard statistics)::
 
         python -m repro resolve --artifacts art/ --records new.csv -o assignments.csv
 
@@ -89,7 +89,7 @@ from repro.api import (
     SpecError,
     load_spec,
 )
-from repro.blocking import BLOCKING_ENGINES, TokenOverlapBlocker, candidate_statistics
+from repro.blocking import TokenOverlapBlocker, candidate_statistics
 from repro.core.config import ZeroERConfig
 from repro.data.io import read_csv
 from repro.reliability import CheckpointError, CheckpointStore, FitControls
@@ -153,12 +153,6 @@ def _add_fit_arguments(parser: argparse.ArgumentParser, *, with_output: bool) ->
     parser.add_argument(
         "--spec",
         help="declarative pipeline spec JSON (see: python -m repro spec init)",
-    )
-    parser.add_argument(
-        "--blocking-engine",
-        choices=BLOCKING_ENGINES,
-        default=None,
-        help="token-overlap blocking engine (default: sparse, the columnar kernel)",
     )
     if with_output:
         parser.add_argument("-o", "--output", required=True, help="output CSV for scored matches")
@@ -237,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spec's shard section)",
     )
     fit.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="featurization worker processes per resolve batch "
-        "(default: 1, in-process; overrides the spec's shard section)",
-    )
-    fit.add_argument(
         "--load-budget-mb",
         type=float,
         default=None,
@@ -266,14 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resolve.add_argument(
         "-o", "--output", help="optional CSV for record→entity assignments"
-    )
-    resolve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="featurization worker processes for this batch "
-        "(default: the worker count frozen into the artifacts)",
     )
     _add_trace_argument(resolve)
     resolve.set_defaults(func=_cmd_resolve)
@@ -379,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument(
         "--no-transitivity", action="store_true", help="disable transitivity calibration"
     )
-    init.add_argument(
-        "--blocking-engine",
-        choices=BLOCKING_ENGINES,
-        default="sparse",
-        help="token-overlap blocking engine (default: sparse)",
-    )
     init.set_defaults(func=_cmd_spec_init)
     return parser
 
@@ -429,8 +401,8 @@ def _build_pipeline(args):
     """``(pipeline, threshold, one_to_one, exit_code)`` from flags + optional spec.
 
     With ``--spec`` the pipeline comes from the spec file and explicit flags
-    (``--kappa``, ``--threshold``, ``--no-transitivity``,
-    ``--blocking-engine``) override the corresponding spec values.
+    (``--kappa``, ``--threshold``, ``--no-transitivity``) override the
+    corresponding spec values.
     """
     one_to_one = bool(getattr(args, "one_to_one", False))
     if args.spec:
@@ -452,9 +424,7 @@ def _build_pipeline(args):
                 blocker=spec.blocking.build(),
                 config=config,
                 co_candidate_cap=spec.model.co_candidate_cap,
-                feature_engine=spec.features.engine,
                 type_overrides=spec.features.build_overrides(),
-                blocking_engine=args.blocking_engine,
                 fit_controls=(
                     FitControls(time_budget_s=float(spec.model.time_budget_s))
                     if spec.model.time_budget_s is not None
@@ -471,13 +441,7 @@ def _build_pipeline(args):
         kappa=args.kappa if args.kappa is not None else 0.15,
         transitivity=not args.no_transitivity,
     )
-    pipeline = ERPipeline(
-        blocking_attribute=args.block_on,
-        config=config,
-        blocking_engine=(
-            args.blocking_engine if args.blocking_engine is not None else "sparse"
-        ),
-    )
+    pipeline = ERPipeline(blocking_attribute=args.block_on, config=config)
     threshold = args.threshold if args.threshold is not None else 0.5
     return pipeline, threshold, one_to_one, 0
 
@@ -557,11 +521,11 @@ def _fit_controls(args):
 
 
 def _shard_settings(args):
-    """``(shards, workers, load_budget_mb, exit_code)`` from flags + spec.
+    """``(shards, load_budget_mb, exit_code)`` from flags + spec.
 
     The spec's ``shard`` section (when present) provides the defaults;
-    explicit ``--shards`` / ``--workers`` / ``--load-budget-mb`` flags
-    override individual fields, with the same validation either way.
+    explicit ``--shards`` / ``--load-budget-mb`` flags override individual
+    fields, with the same validation either way.
     """
     from repro.api import ShardSpec
 
@@ -577,22 +541,20 @@ def _shard_settings(args):
     overrides = {}
     if args.shards is not None:
         overrides["shards"] = args.shards
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.load_budget_mb is not None:
         overrides["load_budget_mb"] = args.load_budget_mb
     try:
         merged = base.replace(**overrides) if overrides else base
     except SpecError as exc:
-        return 1, 1, None, _fail(exc)
-    return merged.shards, merged.workers, merged.load_budget_mb, 0
+        return 1, None, _fail(exc)
+    return merged.shards, merged.load_budget_mb, 0
 
 
 def _cmd_fit(args) -> int:
     pipeline, threshold, _one_to_one, code = _build_pipeline(args)
     if code:
         return code
-    shards, workers, load_budget_mb, code = _shard_settings(args)
+    shards, load_budget_mb, code = _shard_settings(args)
     if code:
         return code
     controls, ckpt_store, code = _fit_controls(args)
@@ -608,8 +570,14 @@ def _cmd_fit(args) -> int:
         code = _check_blocking_attributes(pipeline, left)
         if code:
             return code
+    # fail before the (expensive) fit: freeze() indexes with the blocker
+    # and needs disjoint ids
+    if not isinstance(pipeline.blocker, TokenOverlapBlocker):
+        return _fail(
+            "fit freezes a token index, so the spec's blocker must be "
+            f"token_overlap or qgram; got {type(pipeline.blocker).__name__}"
+        )
     if right is not None:
-        # fail before the (expensive) fit: freeze() needs disjoint ids
         shared = set(left.ids()) & set(right.ids())
         if shared:
             return _fail(
@@ -623,10 +591,7 @@ def _cmd_fit(args) -> int:
         return _fail(exc)
     try:
         resolver = pipeline.freeze(
-            threshold=threshold,
-            shards=shards,
-            workers=workers,
-            load_budget_mb=load_budget_mb,
+            threshold=threshold, shards=shards, load_budget_mb=load_budget_mb
         )
     except (ValueError, RuntimeError) as exc:
         # e.g. overlapping record ids across the two tables, or a blocking
@@ -661,10 +626,7 @@ def _shard_summary(stats: dict) -> str:
     """One-line shard/candidate statistics for the ``resolve`` report."""
     per_shard = stats["pairs_per_shard"]
     dist = ", ".join(f"s{shard}:{count}" for shard, count in sorted(per_shard.items()))
-    line = (
-        f"shards: {len(stats['index_shards_touched'])}/{stats['n_shards']} probed, "
-        f"workers: {stats['workers']}"
-    )
+    line = f"shards: {len(stats['index_shards_touched'])}/{stats['n_shards']} probed"
     if dist:
         line += f"; candidate pairs per shard: {dist}"
     loader = stats["loader"]
@@ -681,14 +643,13 @@ def _cmd_resolve(args) -> int:
     from repro.incremental import ArtifactError, IncrementalResolver
 
     try:
-        resolver = IncrementalResolver.load(args.artifacts, workers=args.workers)
+        resolver = IncrementalResolver.load(args.artifacts)
         records = read_csv(Path(args.records), id_attr=resolver.store.id_attr)
         with _maybe_trace(args):
             result = resolver.resolve(records)
     except (ArtifactError, OSError, ValueError) as exc:
-        # e.g. missing/corrupt artifacts, unreadable CSV, a record id that
-        # is already in the store (a batch streamed twice), or a --workers
-        # value out of range
+        # e.g. missing/corrupt artifacts, unreadable CSV, or a record id
+        # that is already in the store (a batch streamed twice)
         return _fail(exc)
 
     # Write the assignments before persisting the store: if the output path
@@ -710,7 +671,6 @@ def _cmd_resolve(args) -> int:
         f"{resolver.store.n_entities} entities"
     )
     print(_shard_summary(result.shard_stats))
-    resolver.close()
     return 0
 
 
@@ -794,9 +754,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_spec_init(args) -> int:
     try:
-        blocker = TokenOverlapBlocker(
-            args.block_on, min_overlap=1, top_k=60, engine=args.blocking_engine
-        )
+        blocker = TokenOverlapBlocker(args.block_on, min_overlap=1, top_k=60)
         spec = PipelineSpec(
             blocking=BlockingSpec.from_blocker(blocker),
             model=ModelSpec(

@@ -16,14 +16,13 @@ declaratively: see :class:`~repro.api.spec.PipelineSpec`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.blocking.base import Blocker
-from repro.blocking.overlap import TokenOverlapBlocker, validate_blocking_engine
+from repro.blocking.overlap import TokenOverlapBlocker
 from repro.core.config import ZeroERConfig
 from repro.core.linkage import ZeroERLinkage
 from repro.core.model import ZeroER
@@ -31,7 +30,7 @@ from repro.data.io import write_rows_csv
 from repro.data.table import Table
 from repro.eval.harness import co_candidate_pairs
 from repro.eval.matching import greedy_one_to_one, score_threshold_matches
-from repro.features.generator import FeatureGenerator, validate_feature_engine
+from repro.features.generator import FeatureGenerator
 
 __all__ = ["ERPipeline", "ERResult"]
 
@@ -140,17 +139,6 @@ class ERPipeline:
     co_candidate_cap:
         Per-anchor cap when deriving within-table candidate sets for the
         linkage transitivity coupling.
-    feature_engine:
-        Featurization engine forwarded to
-        :meth:`~repro.features.generator.FeatureGenerator.transform`:
-        ``"batch"`` (default, columnar kernels) or ``"per-pair"`` (the
-        reference scoring loop).
-    blocking_engine:
-        Blocking engine for token-overlap blockers: ``"sparse"`` (columnar
-        CSR kernel) or ``"per-record"`` (the reference loop). ``None``
-        (default) keeps the blocker's own setting — ``"sparse"`` for the
-        default blocker. Setting it alongside a non-token-overlap
-        ``blocker`` raises ``ValueError``.
     type_overrides:
         Optional ``{attribute: AttributeType}`` forwarded to the
         :class:`~repro.features.generator.FeatureGenerator`, pinning types
@@ -168,37 +156,16 @@ class ERPipeline:
         blocking_attribute: str | None = None,
         config: ZeroERConfig | None = None,
         co_candidate_cap: int = 10,
-        feature_engine: str = "batch",
-        blocking_engine: str | None = None,
         type_overrides: dict | None = None,
         fit_controls=None,
     ):
         if blocker is None:
             if blocking_attribute is None:
                 raise ValueError("provide either a blocker or a blocking_attribute")
-            blocker = TokenOverlapBlocker(
-                blocking_attribute,
-                min_overlap=1,
-                top_k=60,
-                engine=blocking_engine if blocking_engine is not None else "sparse",
-            )
-        elif blocking_engine is not None:
-            validate_blocking_engine(blocking_engine)
-            if not isinstance(blocker, TokenOverlapBlocker):
-                raise ValueError(
-                    "blocking_engine applies to TokenOverlapBlocker (and subclasses); "
-                    f"got {type(blocker).__name__}"
-                )
-            if blocker.engine != blocking_engine:
-                # leave the caller's blocker fully untouched: a deep copy so
-                # no mutable state (tokenizer, caches) is shared either way
-                blocker = copy.deepcopy(blocker)
-                blocker.engine = blocking_engine
-        validate_feature_engine(feature_engine)
+            blocker = TokenOverlapBlocker(blocking_attribute, min_overlap=1, top_k=60)
         self.blocker = blocker
         self.config = config if config is not None else ZeroERConfig()
         self.co_candidate_cap = int(co_candidate_cap)
-        self.feature_engine = feature_engine
         self.type_overrides = dict(type_overrides) if type_overrides else None
         self.fit_controls = fit_controls
         self.generator_: FeatureGenerator | None = None
@@ -207,11 +174,10 @@ class ERPipeline:
         self.right_: Table | None = None
         self.result_: ERResult | None = None
         # Effective settings behind model_/result_: staged sessions may
-        # override the blocker, config, or engine per stage, and freeze()
-        # must describe what actually ran, not the pipeline's defaults.
+        # override the blocker or config per stage, and freeze() must
+        # describe what actually ran, not the pipeline's defaults.
         self.fitted_blocker_: Blocker | None = None
         self.fitted_config_: ZeroERConfig | None = None
-        self.fitted_engine_: str | None = None
 
     def session(self, left: Table, right: Table | None = None):
         """Open a staged :class:`~repro.api.session.ResolutionSession`.
@@ -234,7 +200,6 @@ class ERPipeline:
         self,
         threshold: float = 0.5,
         shards: int = 1,
-        workers: int = 1,
         load_budget_mb: float | None = None,
     ):
         """Turn the completed batch run into an :class:`IncrementalResolver`.
@@ -249,9 +214,8 @@ class ERPipeline:
         embedded in the resolver for provenance.
 
         The store and index partition into ``shards`` hash shards (default
-        1; results are bit-identical for any count) and featurize with
-        ``workers`` parallel processes; an optional in-process shard
-        ``load_budget_mb`` is enforced after a reload.
+        1; results are bit-identical for any count); an optional in-process
+        shard ``load_budget_mb`` is enforced after a reload.
         """
         from repro.incremental.resolver import IncrementalResolver
         from repro.shard import (
@@ -279,7 +243,6 @@ class ERPipeline:
                     "prefix each side before running"
                 )
         blocker = self.fitted_blocker_ if self.fitted_blocker_ is not None else self.blocker
-        engine = self.fitted_engine_ if self.fitted_engine_ is not None else self.feature_engine
         budget = int(load_budget_mb * 1024 * 1024) if load_budget_mb else None
         loader = ShardLoadManager(budget_bytes=budget)
         index = ShardedTokenIndex.from_blocker(
@@ -298,26 +261,23 @@ class ERPipeline:
             index,
             store,
             threshold=threshold,
-            engine=engine,
-            spec=self._capture_spec(threshold, shards, workers, load_budget_mb),
-            workers=workers,
+            spec=self._capture_spec(threshold, shards, load_budget_mb),
         )
 
     def _capture_spec(
         self,
         threshold: float,
         shards: int = 1,
-        workers: int = 1,
         load_budget_mb: float | None = None,
     ):
         """Best-effort declarative capture of the *fitted* run, for provenance.
 
         Describes what actually produced ``model_``/``result_`` — the
-        session-effective blocker, config, and engine when a staged run
-        overrode the pipeline's defaults. Returns ``None`` when the run
-        cannot be described declaratively (custom blocker class,
-        non-serializable tokenizer, ...) — freezing still works, the
-        artifact just carries no spec.
+        session-effective blocker and config when a staged run overrode the
+        pipeline's defaults. Returns ``None`` when the run cannot be
+        described declaratively (custom blocker class, non-serializable
+        tokenizer, ...) — freezing still works, the artifact just carries no
+        spec.
         """
         from repro.api.spec import (
             BlockingSpec,
@@ -331,14 +291,12 @@ class ERPipeline:
 
         blocker = self.fitted_blocker_ if self.fitted_blocker_ is not None else self.blocker
         config = self.fitted_config_ if self.fitted_config_ is not None else self.config
-        engine = self.fitted_engine_ if self.fitted_engine_ is not None else self.feature_engine
         overrides = self.type_overrides or {}
-        sharded = shards > 1 or workers > 1 or load_budget_mb is not None
+        sharded = shards > 1 or load_budget_mb is not None
         try:
             return PipelineSpec(
                 blocking=BlockingSpec.from_blocker(blocker),
                 features=FeatureSpec(
-                    engine=engine,
                     type_overrides={a: t.value for a, t in overrides.items()},
                 ),
                 model=ModelSpec(
@@ -352,9 +310,7 @@ class ERPipeline:
                 ),
                 output=OutputSpec(threshold=threshold),
                 shard=(
-                    ShardSpec(
-                        shards=shards, workers=workers, load_budget_mb=load_budget_mb
-                    )
+                    ShardSpec(shards=shards, load_budget_mb=load_budget_mb)
                     if sharded
                     else None
                 ),
@@ -362,7 +318,7 @@ class ERPipeline:
         except (SpecError, TypeError):
             return None
 
-    def _within_table_inputs(self, left, right, pairs, generator, engine: str | None = None):
+    def _within_table_inputs(self, left, right, pairs, generator):
         """Inputs of the within-table models Fl/Fr: ``(left_pairs, X_left, right_pairs, X_right)``.
 
         Within-table candidates are the cross candidates' co-candidates
@@ -370,15 +326,10 @@ class ERPipeline:
         ``None`` features. They depend only on the candidate pairs and the
         fitted generator, so a session derives them once per feature matrix.
         """
-        engine = engine if engine is not None else self.feature_engine
         left_pairs = co_candidate_pairs(pairs, side=0, cap=self.co_candidate_cap)
         right_pairs = co_candidate_pairs(pairs, side=1, cap=self.co_candidate_cap)
-        X_left = (
-            generator.transform(left, None, left_pairs, engine=engine) if left_pairs else None
-        )
-        X_right = (
-            generator.transform(right, None, right_pairs, engine=engine) if right_pairs else None
-        )
+        X_left = generator.transform(left, None, left_pairs) if left_pairs else None
+        X_right = generator.transform(right, None, right_pairs) if right_pairs else None
         return left_pairs, X_left, right_pairs, X_right
 
     def _fit_linkage(

@@ -23,18 +23,16 @@ scores, same timing keys.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.api.pipeline import ERPipeline, ERResult
 from repro.blocking.base import Blocker, candidate_statistics
-from repro.blocking.overlap import TokenOverlapBlocker, validate_blocking_engine
 from repro.core.config import ZeroERConfig
 from repro.core.model import ZeroER
 from repro.data.table import Table
-from repro.features.generator import FeatureGenerator, validate_feature_engine
+from repro.features.generator import FeatureGenerator
 from repro.obs import (
     RunCollector,
     RunTelemetry,
@@ -60,7 +58,7 @@ class CandidateSet:
 
     #: Candidate pairs in the blocker's deterministic order.
     pairs: list[tuple]
-    #: The blocker instance actually used (after any engine override).
+    #: The blocker instance actually used (after any override).
     blocker: Blocker
     #: Wall-clock seconds spent blocking.
     seconds: float
@@ -96,8 +94,6 @@ class FeatureMatrix:
     feature_groups: list[list[int]]
     #: The fitted generator (types, idf tables, scales).
     generator: FeatureGenerator
-    #: Engine that produced ``X`` (``"batch"`` or ``"per-pair"``).
-    engine: str
     #: Wall-clock seconds spent fitting the generator + transforming.
     seconds: float
     session: "ResolutionSession" = field(repr=False)
@@ -212,34 +208,16 @@ class ResolutionSession:
 
     # -- stage 1: blocking -----------------------------------------------------
 
-    def block(
-        self,
-        blocker: Blocker | None = None,
-        blocking_engine: str | None = None,
-        force: bool = False,
-    ) -> CandidateSet:
+    def block(self, blocker: Blocker | None = None, force: bool = False) -> CandidateSet:
         """Compute (or return the cached) candidate pairs.
 
-        ``blocker`` substitutes a different blocker for this session;
-        ``blocking_engine`` re-runs a token-overlap blocker under the other
-        engine. Any override invalidates the cached features and matches.
+        ``blocker`` substitutes a different blocker for this session; an
+        override invalidates the cached features and matches.
         """
-        overridden = blocker is not None or blocking_engine is not None
-        if self.candidates_ is not None and not force and not overridden:
+        if self.candidates_ is not None and not force and blocker is None:
             return self.candidates_
 
         effective = blocker if blocker is not None else self.pipeline.blocker
-        if blocking_engine is not None:
-            validate_blocking_engine(blocking_engine)
-            if not isinstance(effective, TokenOverlapBlocker):
-                raise ValueError(
-                    "blocking_engine applies to TokenOverlapBlocker (and subclasses); "
-                    f"got {type(effective).__name__}"
-                )
-            if effective.engine != blocking_engine:
-                effective = copy.deepcopy(effective)
-                effective.engine = blocking_engine
-
         with self._collector_scope():
             with span("blocking", blocker=type(effective).__name__) as sp:
                 pairs = effective.block(self.left, self.right)
@@ -254,30 +232,24 @@ class ResolutionSession:
 
     # -- stage 2: featurization ------------------------------------------------
 
-    def featurize(self, engine: str | None = None, force: bool = False) -> FeatureMatrix:
+    def featurize(self, force: bool = False) -> FeatureMatrix:
         """Compute (or return the cached) pair feature matrix.
 
-        Runs :meth:`block` first if needed. ``engine`` overrides the
-        pipeline's featurization engine for this session; an override
-        invalidates the cached matches.
+        Runs :meth:`block` first if needed. ``force=True`` recomputes the
+        matrix, which invalidates the cached matches.
         """
-        overridden = engine is not None
-        if self.features_ is not None and not force and not overridden:
+        if self.features_ is not None and not force:
             return self.features_
 
-        effective = engine if engine is not None else self.pipeline.feature_engine
-        validate_feature_engine(effective)
         candidates = self.block()
         with self._collector_scope():
-            with span("features", engine=effective) as sp:
+            with span("features") as sp:
                 with span("features.fit"):
                     generator = FeatureGenerator(
                         type_overrides=self.pipeline.type_overrides
                     ).fit(self.left, self.right)
                 if candidates.pairs:
-                    X = generator.transform(
-                        self.left, self.right, candidates.pairs, engine=effective
-                    )
+                    X = generator.transform(self.left, self.right, candidates.pairs)
                 else:
                     X = np.zeros((0, len(generator.feature_names_)))
                 sp.set(n_pairs=int(X.shape[0]), n_features=int(X.shape[1]))
@@ -286,7 +258,6 @@ class ResolutionSession:
             feature_names=generator.feature_names_,
             feature_groups=generator.feature_groups_,
             generator=generator,
-            engine=effective,
             seconds=sp.seconds,
             session=self,
         )
@@ -351,11 +322,7 @@ class ResolutionSession:
                 if self.right is not None and effective.transitivity:
                     if features._within is None:
                         features._within = self.pipeline._within_table_inputs(
-                            self.left,
-                            self.right,
-                            candidates.pairs,
-                            features.generator,
-                            engine=features.engine,
+                            self.left, self.right, candidates.pairs, features.generator
                         )
                     model = self.pipeline._fit_linkage(
                         candidates.pairs,
@@ -411,7 +378,6 @@ class ResolutionSession:
         pipeline.result_ = None
         pipeline.fitted_blocker_ = None
         pipeline.fitted_config_ = None
-        pipeline.fitted_engine_ = None
         pipeline.left_, pipeline.right_ = self.left, self.right
         with self._collector_scope():
             with span("resolve", mode="dedup" if self.right is None else "linkage"):
@@ -446,7 +412,6 @@ class ResolutionSession:
             "mode": "dedup" if self.right is None else "linkage",
             "n_left": n_left,
             "n_right": n_right,
-            "feature_engine": features.engine if features is not None else None,
             "n_features": len(features.feature_names) if features is not None else 0,
             "transitivity": bool(config.transitivity),
         }
@@ -476,7 +441,7 @@ class ResolutionSession:
     def _publish(self, matches: MatchSet) -> None:
         """Copy a completed match's fitted state onto the pipeline.
 
-        Includes the session-effective blocker, config, and engine so
+        Includes the session-effective blocker and config so
         ``freeze()`` (index parameters + provenance spec) describes what
         actually produced the model, even when stages ran with overrides.
         """
@@ -489,9 +454,6 @@ class ResolutionSession:
             self.candidates_.blocker if self.candidates_ is not None else None
         )
         pipeline.fitted_config_ = matches.config
-        pipeline.fitted_engine_ = (
-            self.features_.engine if self.features_ is not None else None
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stages = [

@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.api.pipeline import ERPipeline
 from repro.blocking.base import Blocker, build_blocker
 from repro.core.config import ZeroERConfig
-from repro.features.generator import validate_feature_engine
 from repro.features.types import AttributeType
 
 __all__ = [
@@ -94,12 +93,17 @@ class BlockingSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BlockingSpec":
-        """Validate a ``blocking`` payload into a :class:`BlockingSpec`."""
+        """Validate a ``blocking`` payload into a :class:`BlockingSpec`.
+
+        A token-overlap or q-gram payload may carry the retired ``engine``
+        key (there is one blocking engine now); it is dropped.
+        """
         if not isinstance(data, dict):
             raise SpecError(f"blocking spec must be a dict, got {type(data).__name__}")
         if "type" not in data:
             raise SpecError("blocking spec is missing the 'type' key")
-        options = {key: value for key, value in data.items() if key != "type"}
+        retired = ("engine",) if data["type"] in ("token_overlap", "qgram") else ()
+        options = {key: value for key, value in data.items() if key not in ("type", *retired)}
         return cls(type=data["type"], options=options)
 
     @classmethod
@@ -117,18 +121,12 @@ class BlockingSpec:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Declarative featurization: engine choice plus attribute-type pins."""
+    """Declarative featurization: attribute-type pins."""
 
-    #: ``"batch"`` (columnar kernels) or ``"per-pair"`` (reference loop).
-    engine: str = "batch"
     #: ``{attribute: AttributeType value string}`` type-inference overrides.
     type_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            validate_feature_engine(self.engine)
-        except ValueError as exc:
-            raise SpecError(f"feature {exc}") from exc
         if not isinstance(self.type_overrides, dict):
             raise SpecError("type_overrides must be a dict of attribute -> type name")
         for attribute, type_name in self.type_overrides.items():
@@ -149,11 +147,15 @@ class FeatureSpec:
 
     def to_dict(self) -> dict:
         """The JSON-serializable form of this features section."""
-        return {"engine": self.engine, "type_overrides": dict(self.type_overrides)}
+        return {"type_overrides": dict(self.type_overrides)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureSpec":
-        """Validate a ``features`` payload into a :class:`FeatureSpec`."""
+        """Validate a ``features`` payload into a :class:`FeatureSpec`.
+
+        The retired ``engine`` key (there is one featurization engine now)
+        is accepted and ignored.
+        """
         _require_keys(data, ("engine", "type_overrides"), "features")
         overrides = data.get("type_overrides") or {}
         if not isinstance(overrides, dict):
@@ -161,10 +163,7 @@ class FeatureSpec:
                 "type_overrides must be a dict of attribute -> type name, "
                 f"got {type(overrides).__name__}"
             )
-        return cls(
-            engine=data.get("engine", "batch"),
-            type_overrides=dict(overrides),
-        )
+        return cls(type_overrides=dict(overrides))
 
 
 @dataclass(frozen=True)
@@ -423,31 +422,23 @@ class ShardSpec:
     Embedded (optionally) as the ``shard`` section of a
     :class:`PipelineSpec`. ``shards`` partitions the entity store and
     token index across that many hash shards (see :mod:`repro.shard`),
-    with ``workers`` featurization processes per resolve and an optional
-    in-process ``load_budget_mb`` for memory-mapped shard bases.
-    CLI flags override any field at fit time.
+    with an optional in-process ``load_budget_mb`` for memory-mapped shard
+    bases. CLI flags override any field at fit time.
     """
 
     #: Number of hash shards for the store and index (1..64).
     shards: int = 1
-    #: Featurization worker processes per resolve batch (1 = in-process).
-    workers: int = 1
     #: Soft cap in MiB on concurrently mapped shard bases after a reload;
     #: ``None`` disables eviction.
     load_budget_mb: float | None = None
 
     def __post_init__(self):
         from repro.shard import MAX_SHARDS
-        from repro.shard.pool import MAX_WORKERS
 
-        for name, value, cap in (
-            ("shards", self.shards, MAX_SHARDS),
-            ("workers", self.workers, MAX_WORKERS),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SpecError(f"{name} must be an int, got {value!r}")
-            if not 1 <= value <= cap:
-                raise SpecError(f"{name} must be in [1, {cap}], got {value}")
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
+            raise SpecError(f"shards must be an int, got {self.shards!r}")
+        if not 1 <= self.shards <= MAX_SHARDS:
+            raise SpecError(f"shards must be in [1, {MAX_SHARDS}], got {self.shards}")
         if self.load_budget_mb is not None:
             if (
                 not isinstance(self.load_budget_mb, (int, float))
@@ -465,21 +456,17 @@ class ShardSpec:
 
     def to_dict(self) -> dict:
         """The JSON-serializable form of this shard section."""
-        return {
-            "shards": self.shards,
-            "workers": self.workers,
-            "load_budget_mb": self.load_budget_mb,
-        }
+        return {"shards": self.shards, "load_budget_mb": self.load_budget_mb}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardSpec":
-        """Validate a ``shard`` payload into a :class:`ShardSpec`."""
+        """Validate a ``shard`` payload into a :class:`ShardSpec`.
+
+        The retired ``workers`` key (featurization runs in process now) is
+        accepted and ignored.
+        """
         _require_keys(data, ("shards", "workers", "load_budget_mb"), "shard")
-        return cls(
-            shards=data.get("shards", 1),
-            workers=data.get("workers", 1),
-            load_budget_mb=data.get("load_budget_mb"),
-        )
+        return cls(shards=data.get("shards", 1), load_budget_mb=data.get("load_budget_mb"))
 
 
 @dataclass(frozen=True)
@@ -494,8 +481,8 @@ class PipelineSpec:
     #: Optional serving posture (``None`` — the common case for specs that
     #: never get served — serializes as an absent ``serve`` section).
     serve: ServeSpec | None = None
-    #: Optional sharding posture for freeze/fit (``None`` — one shard, one
-    #: worker — serializes as an absent ``shard`` section).
+    #: Optional sharding posture for freeze/fit (``None`` — one shard, no
+    #: load budget — serializes as an absent ``shard`` section).
     shard: ShardSpec | None = None
     version: int = SPEC_VERSION
 
@@ -546,7 +533,6 @@ class PipelineSpec:
             blocker=self.blocking.build(),
             config=self.model.config,
             co_candidate_cap=self.model.co_candidate_cap,
-            feature_engine=self.features.engine,
             type_overrides=self.features.build_overrides(),
             fit_controls=fit_controls,
         )
@@ -569,10 +555,7 @@ class PipelineSpec:
         controls = getattr(pipeline, "fit_controls", None)
         return cls(
             blocking=BlockingSpec.from_blocker(pipeline.blocker),
-            features=FeatureSpec(
-                engine=pipeline.feature_engine,
-                type_overrides={a: t.value for a, t in overrides.items()},
-            ),
+            features=FeatureSpec(type_overrides={a: t.value for a, t in overrides.items()}),
             model=ModelSpec(
                 config=pipeline.config,
                 co_candidate_cap=pipeline.co_candidate_cap,

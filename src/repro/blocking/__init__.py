@@ -18,12 +18,7 @@ from repro.blocking.base import (
 )
 from repro.blocking.attr_equivalence import AttributeEquivalenceBlocker
 from repro.blocking.batch import TokenEncoding, sparse_overlap_pairs, sparse_overlap_select
-from repro.blocking.overlap import (
-    BLOCKING_ENGINES,
-    TokenOverlapBlocker,
-    rank_overlap_candidates,
-    validate_blocking_engine,
-)
+from repro.blocking.overlap import TokenOverlapBlocker
 from repro.blocking.qgram import QgramBlocker
 from repro.blocking.sorted_neighborhood import SortedNeighborhoodBlocker
 from repro.blocking.compose import UnionBlocker
@@ -36,14 +31,11 @@ __all__ = [
     "QgramBlocker",
     "SortedNeighborhoodBlocker",
     "UnionBlocker",
-    "BLOCKING_ENGINES",
     "as_pair_set",
     "blocker_types",
     "build_blocker",
     "candidate_recall",
     "candidate_statistics",
-    "rank_overlap_candidates",
     "sparse_overlap_pairs",
     "sparse_overlap_select",
-    "validate_blocking_engine",
 ]

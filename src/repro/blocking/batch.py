@@ -1,11 +1,9 @@
 """Sparse columnar blocking engine: token overlap as matrix algebra.
 
-The per-record reference path in
-:class:`~repro.blocking.overlap.TokenOverlapBlocker` walks a Python
-``Counter`` per probe record; after the featurization hot path went
-columnar (``repro.text.batch``), that loop became the dominant cost on
-large tables. This module replaces it with CSR-style incidence arrays and
-chunked numpy:
+:class:`~repro.blocking.overlap.TokenOverlapBlocker` counts shared tokens
+with CSR-style incidence arrays and chunked numpy rather than a Python
+``Counter`` per probe record (that loop is kept in the test suite as the
+parity oracle):
 
 * each side's blocking tokens are encoded once into a
   :class:`TokenEncoding` — a token vocabulary with document frequencies
@@ -17,10 +15,10 @@ chunked numpy:
   postings and accumulated with ``bincount`` into a dense
   (chunk × target) count buffer;
 * ``min_overlap`` thresholding and per-record ``top_k`` selection run on
-  the count buffer with ``argpartition``, ordered by the exact
-  :func:`~repro.blocking.overlap.rank_overlap_candidates` contract —
-  descending overlap count, ties broken by target insertion order — so the
-  emitted pair list is bit-identical to the per-record path.
+  the count buffer with ``argpartition``, ordered by the ranking contract
+  the incremental index shares — descending overlap count, ties broken by
+  target insertion order — so the emitted pair list is bit-identical to
+  the per-record loop.
 """
 
 from __future__ import annotations
@@ -239,9 +237,8 @@ def sparse_overlap_select(
     """Ranked overlap candidates as ``(probe_rows, target_cols, counts)``.
 
     The core sparse kernel. Probe records are processed in row order; per
-    probe row, candidates appear in the exact
-    :func:`~repro.blocking.overlap.rank_overlap_candidates` order
-    (descending count, then target insertion order), capped at ``top_k``.
+    probe row, candidates appear in ranking order (descending count, then
+    target insertion order), capped at ``top_k``.
 
     Probes are chunked by expanded posting volume (``chunk_entries``
     entries per chunk). Within a chunk the overlap counts are a sparse dot

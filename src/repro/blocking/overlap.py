@@ -9,11 +9,12 @@ overlap. Two standard scalability controls are built in:
   are skipped;
 * **top-k capping** — keep at most ``top_k`` right candidates per left
   record, ranked by overlap count, which bounds |Cs| ≤ |T| · k.
+
+Counting and ranking run in the sparse columnar kernel of
+:mod:`repro.blocking.batch`.
 """
 
 from __future__ import annotations
-
-from collections import Counter, defaultdict
 
 from repro.blocking.base import Blocker, check_spec_keys
 from repro.data.table import Table
@@ -26,22 +27,9 @@ from repro.text.tokenizers import (
 
 __all__ = [
     "TokenOverlapBlocker",
-    "rank_overlap_candidates",
     "validate_overlap_params",
-    "validate_blocking_engine",
     "record_tokens",
-    "BLOCKING_ENGINES",
 ]
-
-#: Available engines: ``"sparse"`` (columnar CSR kernel, the default) and
-#: ``"per-record"`` (the Counter-per-probe reference loop).
-BLOCKING_ENGINES = ("sparse", "per-record")
-
-
-def validate_blocking_engine(engine: str) -> None:
-    """Reject unknown blocking engine names (shared with the pipeline/CLI)."""
-    if engine not in BLOCKING_ENGINES:
-        raise ValueError(f"engine must be one of {BLOCKING_ENGINES}, got {engine!r}")
 
 
 def validate_overlap_params(min_overlap: int, max_df: float, top_k: int | None) -> None:
@@ -63,27 +51,6 @@ def record_tokens(tokenizer: Tokenizer, record: dict, attribute: str) -> set[str
     return set(tokenizer(record.get(attribute)))
 
 
-def rank_overlap_candidates(
-    overlap: Counter,
-    min_overlap: int,
-    top_k: int | None,
-    position_of: dict,
-) -> list[tuple]:
-    """Rank one probe record's overlap counts into ``(rid, count)`` candidates.
-
-    The ranking contract shared by batch blocking and the incremental index:
-    keep counts ≥ ``min_overlap``, sort by descending overlap with ties broken
-    by target insertion order (deterministic), cap at ``top_k``.
-    """
-    candidates = [
-        (rid, count) for rid, count in overlap.items() if count >= min_overlap
-    ]
-    candidates.sort(key=lambda item: (-item[1], position_of[item[0]]))
-    if top_k is not None:
-        candidates = candidates[:top_k]
-    return candidates
-
-
 class TokenOverlapBlocker(Blocker):
     """Pair records sharing at least ``min_overlap`` tokens on ``attribute``.
 
@@ -101,10 +68,6 @@ class TokenOverlapBlocker(Blocker):
     top_k:
         If set, keep only the ``top_k`` highest-overlap right candidates per
         left record (ties broken by right row order for determinism).
-    engine:
-        ``"sparse"`` (default) runs the columnar CSR kernel of
-        :mod:`repro.blocking.batch`; ``"per-record"`` runs the reference
-        Counter loop. Both produce bit-identical pair lists.
     """
 
     spec_type = "token_overlap"
@@ -116,19 +79,13 @@ class TokenOverlapBlocker(Blocker):
         min_overlap: int = 1,
         max_df: float = 0.2,
         top_k: int | None = None,
-        engine: str = "sparse",
     ):
         validate_overlap_params(min_overlap, max_df, top_k)
-        validate_blocking_engine(engine)
         self.attribute = attribute
         self.tokenizer = tokenizer if tokenizer is not None else WhitespaceTokenizer()
         self.min_overlap = int(min_overlap)
         self.max_df = float(max_df)
         self.top_k = top_k
-        self.engine = engine
-
-    def _tokens(self, record: dict) -> set[str]:
-        return record_tokens(self.tokenizer, record, self.attribute)
 
     def to_spec(self) -> dict:
         """Declarative form; raises ``TypeError`` for custom tokenizer types."""
@@ -139,11 +96,11 @@ class TokenOverlapBlocker(Blocker):
             "min_overlap": self.min_overlap,
             "max_df": self.max_df,
             "top_k": self.top_k,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "TokenOverlapBlocker":
+        # "engine" named a retired second blocking path: accepted, ignored
         check_spec_keys(
             spec,
             ("attribute", "tokenizer", "min_overlap", "max_df", "top_k", "engine"),
@@ -160,91 +117,48 @@ class TokenOverlapBlocker(Blocker):
             min_overlap=spec.get("min_overlap", 1),
             max_df=spec.get("max_df", 0.2),
             top_k=spec.get("top_k"),
-            engine=spec.get("engine", "sparse"),
         )
 
     def block(self, left: Table, right: Table | None = None) -> list[tuple]:
         from repro.obs import span
 
+        # deferred import: batch.py shares this module's token/param contract
+        from repro.blocking.batch import TokenEncoding, sparse_overlap_pairs
+
         with span(
             f"blocking.{self.spec_type}",
-            engine=self.engine,
             attribute=self.attribute,
             n_left=len(left),
             n_right=len(right) if right is not None else None,
         ) as sp:
-            if self.engine == "sparse":
-                pairs = self._block_sparse(left, right)
-            else:
-                pairs = self._block_per_record(left, right)
-            sp.set(n_pairs=len(pairs))
-        return pairs
-
-    def _block_sparse(self, left: Table, right: Table | None) -> list[tuple]:
-        # deferred import: batch.py shares this module's token/param contract
-        from repro.blocking.batch import TokenEncoding, sparse_overlap_pairs
-
-        dedup = right is None
-        target = left if dedup else right
-        target_enc = TokenEncoding.encode(
-            target, self.tokenizer, self.attribute, id_attr=target.id_attr
-        )
-        if dedup:
-            probe_enc = target_enc
-        else:
-            probe_enc = TokenEncoding.encode(
-                left,
-                self.tokenizer,
-                self.attribute,
-                id_attr=left.id_attr,
-                vocab=target_enc.vocab,
+            dedup = right is None
+            target = left if dedup else right
+            target_enc = TokenEncoding.encode(
+                target, self.tokenizer, self.attribute, id_attr=target.id_attr
             )
-        return sparse_overlap_pairs(
-            probe_enc,
-            target_enc,
-            min_overlap=self.min_overlap,
-            max_df=self.max_df,
-            top_k=self.top_k,
-            dedup=dedup,
-        )
-
-    def _block_per_record(self, left: Table, right: Table | None) -> list[tuple]:
-        dedup = right is None
-        target = left if dedup else right
-        # Inverted index over the target side, with DF pruning.
-        postings: dict[str, list] = defaultdict(list)
-        target_positions = {rid: pos for pos, rid in enumerate(target.ids())}
-        for rec in target:
-            rid = rec[target.id_attr]
-            for tok in self._tokens(rec):
-                postings[tok].append(rid)
-        df_cap = max(1, int(self.max_df * len(target)))
-        postings = {tok: ids for tok, ids in postings.items() if len(ids) <= df_cap}
-
-        pairs: list[tuple] = []
-        for probe_pos, rec in enumerate(left):
-            lid = rec[left.id_attr]
-            overlap: Counter = Counter()
-            for tok in self._tokens(rec):
-                for rid in postings.get(tok, ()):
-                    overlap[rid] += 1
             if dedup:
-                # only pair with later rows, so each unordered pair appears once
-                overlap = Counter(
-                    {
-                        rid: count
-                        for rid, count in overlap.items()
-                        if target_positions[rid] > probe_pos
-                    }
+                probe_enc = target_enc
+            else:
+                probe_enc = TokenEncoding.encode(
+                    left,
+                    self.tokenizer,
+                    self.attribute,
+                    id_attr=left.id_attr,
+                    vocab=target_enc.vocab,
                 )
-            candidates = rank_overlap_candidates(
-                overlap, self.min_overlap, self.top_k, target_positions
+            pairs = sparse_overlap_pairs(
+                probe_enc,
+                target_enc,
+                min_overlap=self.min_overlap,
+                max_df=self.max_df,
+                top_k=self.top_k,
+                dedup=dedup,
             )
-            pairs.extend((lid, rid) for rid, _count in candidates)
+            sp.set(n_pairs=len(pairs))
         return pairs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TokenOverlapBlocker({self.attribute!r}, min_overlap={self.min_overlap}, "
-            f"top_k={self.top_k}, engine={self.engine!r})"
+            f"top_k={self.top_k})"
         )

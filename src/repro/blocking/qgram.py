@@ -26,7 +26,6 @@ class QgramBlocker(TokenOverlapBlocker):
         min_overlap: int = 2,
         max_df: float = 0.2,
         top_k: int | None = None,
-        engine: str = "sparse",
     ):
         super().__init__(
             attribute,
@@ -34,7 +33,6 @@ class QgramBlocker(TokenOverlapBlocker):
             min_overlap=min_overlap,
             max_df=max_df,
             top_k=top_k,
-            engine=engine,
         )
         self.q = q
 
@@ -47,11 +45,11 @@ class QgramBlocker(TokenOverlapBlocker):
             "min_overlap": self.min_overlap,
             "max_df": self.max_df,
             "top_k": self.top_k,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "QgramBlocker":
+        # "engine" named a retired second blocking path: accepted, ignored
         check_spec_keys(
             spec,
             ("attribute", "q", "min_overlap", "max_df", "top_k", "engine"),
@@ -65,7 +63,6 @@ class QgramBlocker(TokenOverlapBlocker):
             min_overlap=spec.get("min_overlap", 2),
             max_df=spec.get("max_df", 0.2),
             top_k=spec.get("top_k"),
-            engine=spec.get("engine", "sparse"),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,13 +9,11 @@ ZeroER's grouped covariance relies on (paper §2.1, §3.2).
 
 from repro.features.types import AttributeType, infer_attribute_type
 from repro.features.generator import (
-    FEATURE_ENGINES,
     FeatureGenerator,
     PairFeature,
     clear_feature_caches,
     configure_jw_cache,
     jw_cache_info,
-    validate_feature_engine,
 )
 from repro.features.normalize import MinMaxNormalizer, impute_nan
 
@@ -24,8 +22,6 @@ __all__ = [
     "infer_attribute_type",
     "FeatureGenerator",
     "PairFeature",
-    "FEATURE_ENGINES",
-    "validate_feature_engine",
     "MinMaxNormalizer",
     "impute_nan",
     "configure_jw_cache",

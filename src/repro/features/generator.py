@@ -10,14 +10,14 @@ alongside the matrix.
 
 Featurization is the end-to-end hot path (paper §2.1, §5.5: up to ~100k
 blocked pairs per dataset), so :meth:`FeatureGenerator.transform` scores
-pair batches columnar by default: each ``(attribute, tokenizer)``
+pair batches columnar: each ``(attribute, tokenizer)``
 combination is prepared exactly once and shared across all features that
 need it (``jac_qgm3`` / ``cos_qgm3`` / ``dice_qgm3`` reuse one
 tokenization *and* one intersection pass), and the heavy measures dispatch
 to the vectorized kernels in :mod:`repro.text.batch`. The per-pair
-``compute`` methods remain both the reference implementation
-(``engine="per-pair"``) and the automatic fallback for custom
-:class:`PairFeature` subclasses.
+``compute`` methods remain the automatic fallback for custom
+:class:`PairFeature` subclasses and for calls the Monge–Elkan kernel
+refuses (the parity suite also uses them as the reference).
 """
 
 from __future__ import annotations
@@ -63,23 +63,10 @@ from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 __all__ = [
     "PairFeature",
     "FeatureGenerator",
-    "FEATURE_ENGINES",
-    "validate_feature_engine",
     "configure_jw_cache",
     "clear_feature_caches",
     "jw_cache_info",
 ]
-
-#: Available featurization engines: ``"batch"`` (columnar kernels, the
-#: default) and ``"per-pair"`` (the reference scoring loop).
-FEATURE_ENGINES = ("batch", "per-pair")
-
-
-def validate_feature_engine(engine: str) -> None:
-    """Reject unknown featurization engine names (shared across the API layers)."""
-    if engine not in FEATURE_ENGINES:
-        raise ValueError(f"engine must be one of {FEATURE_ENGINES}, got {engine!r}")
-
 
 _NAN = float("nan")
 
@@ -215,8 +202,8 @@ def _default_jw_cache_size() -> int:
 
 
 #: Monge–Elkan's inner similarity is evaluated on *tokens*, which repeat
-#: heavily across a candidate set; on the per-pair path, caching turns the
-#: quadratic token-pair work into dictionary lookups after warm-up. The
+#: heavily across a candidate set; on the per-pair fallback, caching turns
+#: the quadratic token-pair work into dictionary lookups after warm-up. The
 #: batch kernel scores each distinct token pair once per call and never
 #: reads it. ``_monge_elkan_jw`` looks the cache up through the module
 #: global, so :func:`configure_jw_cache` can swap it at runtime.
@@ -226,12 +213,12 @@ _cached_jaro_winkler = functools.lru_cache(maxsize=_default_jw_cache_size())(jar
 def configure_jw_cache(maxsize: int | None) -> None:
     """Rebuild the per-pair Monge–Elkan token cache with a new size bound.
 
-    Only the per-pair path reads this cache: ``transform(...,
-    engine="per-pair")``, and the per-pair fallback a batch transform takes
-    when the Monge–Elkan kernel refuses a call (over its cell budget, or a
-    token-pair key that would overflow int64). The default batch engine,
-    which fit, resolve and serve use, never touches it. ``maxsize=None``
-    means unbounded (only safe for short-lived processes); ``0`` disables
+    Only the per-pair fallback reads this cache: custom
+    :class:`PairFeature` subclasses that score through ``compute``, and
+    Monge–Elkan calls the batch kernel refuses (over its cell budget, or a
+    token-pair key that would overflow int64). The batch kernels, which
+    fit, resolve and serve run, never touch it. ``maxsize=None`` means
+    unbounded (only safe for short-lived processes); ``0`` disables
     caching. Replacing the cache also drops all cached entries.
     """
     global _cached_jaro_winkler
@@ -241,10 +228,10 @@ def configure_jw_cache(maxsize: int | None) -> None:
 def clear_feature_caches() -> None:
     """Release the per-pair Monge–Elkan token cache.
 
-    The cache fills only on the per-pair path (see
-    :func:`configure_jw_cache`); the batch engine keeps no state between
-    calls, so on it this frees nothing. Callers of the per-pair engine can
-    drop the cache between batches (see
+    The cache fills only on the per-pair fallback (see
+    :func:`configure_jw_cache`); the batch kernels keep no state between
+    calls, so after them this frees nothing. Callers that hit the fallback
+    can drop the cache between batches (see
     :meth:`repro.incremental.resolver.IncrementalResolver.clear_caches`).
     """
     _cached_jaro_winkler.cache_clear()
@@ -611,7 +598,7 @@ class _BatchContext:
 
 
 def _per_pair_scores(spec: PairFeature, ctx: _BatchContext) -> np.ndarray:
-    """Reference scoring loop for one feature over the context's pairs."""
+    """Per-pair scoring loop for one feature over the context's pairs (the fallback)."""
     prep_a, prep_b = ctx.prepared_for(spec)
     out = np.empty(ctx.n, dtype=np.float64)
     for i, (a_id, b_id) in enumerate(ctx.pairs):
@@ -769,7 +756,6 @@ class FeatureGenerator:
         right: Table | None,
         pairs: Sequence[tuple],
         *,
-        engine: str = "batch",
         timings: dict[str, float] | None = None,
     ) -> np.ndarray:
         """Feature matrix for ``pairs``; one row per pair, one column per feature.
@@ -781,27 +767,25 @@ class FeatureGenerator:
         ``.get(record_id) -> dict`` (a :class:`~repro.data.table.Table` or an
         :class:`~repro.shard.store.ShardedEntityStore`) is accepted.
 
-        ``engine="batch"`` (default) scores columns with the vectorized
-        kernels in :mod:`repro.text.batch`, sharing tokenization and
-        intersection work across features; ``engine="per-pair"`` forces the
-        reference per-pair path (same values — the parity tests assert it).
+        Columns are scored with the vectorized kernels in
+        :mod:`repro.text.batch`, sharing tokenization and intersection work
+        across features; a feature without a batch kernel (or a call its
+        kernel refuses) falls back to per-pair :meth:`PairFeature.compute`.
         Pass a dict as ``timings`` to collect per-feature wall-clock seconds
         (shared preparation is attributed to the first feature that
         triggers it).
         """
         self._check_fitted()
-        validate_feature_engine(engine)
         n, d = len(pairs), len(self.features_)
         X = np.empty((n, d), dtype=np.float64)
         if n == 0 or d == 0:
             return X
         traced = telemetry_active()
-        with span("features.transform", engine=engine, n_pairs=n, n_features=d):
+        with span("features.transform", n_pairs=n, n_features=d):
             ctx = _BatchContext(left, right, pairs)
-            use_batch = engine == "batch"
             for j, spec in enumerate(self.features_):
                 with span(f"features.{spec.name}", family=spec.family) as fsp:
-                    column = spec.batch_scores(ctx) if use_batch else None
+                    column = spec.batch_scores(ctx)
                     if column is None:
                         column = _per_pair_scores(spec, ctx)
                     X[:, j] = column

@@ -25,11 +25,7 @@ import numpy as np
 from repro.core.linkage import ZeroERLinkage
 from repro.core.model import ZeroER
 from repro.data.io import write_rows_csv
-from repro.features.generator import (
-    FeatureGenerator,
-    clear_feature_caches,
-    validate_feature_engine,
-)
+from repro.features.generator import FeatureGenerator, clear_feature_caches
 from repro.incremental.artifacts import (
     ArtifactError,
     artifact_dir,
@@ -59,7 +55,6 @@ from repro.shard.artifacts import (
     write_payload_files,
 )
 from repro.shard.index import ShardedTokenIndex
-from repro.shard.pool import FeaturePool, validate_workers
 from repro.shard.store import ShardedEntityStore
 
 __all__ = ["IncrementalResolver", "ResolveResult"]
@@ -143,22 +138,14 @@ class IncrementalResolver:
         as ``index``).
     threshold:
         Match probability threshold (default 0.5, the paper's γ > 0.5 rule).
-    engine:
-        Featurization engine forwarded to
-        :meth:`~repro.features.generator.FeatureGenerator.transform`
-        (``"batch"`` by default — small arriving batches go through the
-        same columnar kernels as the bulk pipeline; ``"per-pair"`` forces
-        the reference path, used by the parity tests).
     spec:
         Optional :class:`~repro.api.spec.PipelineSpec` describing the
         pipeline that produced the frozen model — provenance carried into
         saved artifacts (``ERPipeline.freeze`` fills it automatically).
-    workers:
-        Featurization worker processes (default 1 — the in-process
-        reference path). With more, candidate pairs are featurized in
-        parallel chunks by a spawn-safe
-        :class:`~repro.shard.pool.FeaturePool`; scoring and merging stay
-        in this process, so results are bit-identical for any count.
+
+    Arriving batches are featurized in process by the same columnar
+    kernels as the bulk pipeline
+    (:meth:`~repro.features.generator.FeatureGenerator.transform`).
     """
 
     def __init__(
@@ -168,13 +155,10 @@ class IncrementalResolver:
         index: ShardedTokenIndex,
         store: ShardedEntityStore,
         threshold: float = 0.5,
-        engine: str = "batch",
         spec=None,
-        workers: int = 1,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        validate_feature_engine(engine)
         if len(index) != len(store):
             raise ValueError(
                 f"index covers {len(index)} records but the store holds {len(store)}"
@@ -184,21 +168,7 @@ class IncrementalResolver:
         self.index = index
         self.store = store
         self.threshold = float(threshold)
-        self.engine = engine
         self.spec = spec
-        self.workers = validate_workers(workers)
-        self._pool = None
-
-    def _feature_pool(self):
-        if self._pool is None:
-            self._pool = FeaturePool(self.generator.get_state(), self.engine, self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down worker processes, if any were started (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     # -- resolution --------------------------------------------------------------
 
@@ -256,17 +226,8 @@ class IncrementalResolver:
             # Empty batches and batches with no candidates still go through
             # the spans, so reports carry real measured timings — never
             # fabricated zeros.
-            with span(
-                "features", n_pairs=len(pairs), engine=self.engine, workers=self.workers
-            ) as sp:
-                if pairs and self.workers > 1:
-                    X = self._feature_pool().transform(self.store, pairs)
-                elif pairs:
-                    X = self.generator.transform(
-                        self.store, None, pairs, engine=self.engine
-                    )
-                else:
-                    X = None
+            with span("features", n_pairs=len(pairs)) as sp:
+                X = self.generator.transform(self.store, None, pairs) if pairs else None
             timings["features"] = sp.seconds
 
             with span("scoring", n_pairs=len(pairs)) as sp:
@@ -304,7 +265,6 @@ class IncrementalResolver:
                     context={
                         "batch_size": len(records),
                         "threshold": self.threshold,
-                        "engine": self.engine,
                         "store_size": len(self.store),
                     },
                 ),
@@ -325,7 +285,6 @@ class IncrementalResolver:
         touched = sorted(self.index.drain_touched())
         return {
             "n_shards": self.store.n_shards,
-            "workers": self.workers,
             "index_shards_touched": touched,
             "pairs_per_shard": {str(k): v for k, v in sorted(pairs_per_shard.items())},
             "loader": self.store.loader.stats(),
@@ -337,7 +296,6 @@ class IncrementalResolver:
         if rss is not None:
             set_gauge("process.rss_bytes", rss)
         set_gauge("shard.count", shard_stats["n_shards"])
-        set_gauge("shard.workers", shard_stats["workers"])
         loader = shard_stats["loader"]
         set_gauge("shard.loaded_bytes", loader["loaded_bytes"])
         set_gauge("shard.loaded_shards", loader["loaded_shards"])
@@ -347,11 +305,11 @@ class IncrementalResolver:
     def clear_caches(self) -> None:
         """Release the per-pair Monge–Elkan token cache.
 
-        Only the per-pair path fills that cache: the per-pair feature engine,
-        and the per-pair fallback a batch transform takes when the
-        Monge–Elkan kernel refuses a call. Resolving on the default batch
-        engine never touches it, so there this frees nothing. The cache is
-        an LRU bounded by ``REPRO_JW_CACHE_SIZE`` /
+        Only the per-pair fallback fills that cache: custom
+        :class:`~repro.features.generator.PairFeature` subclasses, and
+        Monge–Elkan calls the batch kernel refuses. A resolve that stays on
+        the batch kernels never touches it, so there this frees nothing.
+        The cache is an LRU bounded by ``REPRO_JW_CACHE_SIZE`` /
         :func:`repro.features.configure_jw_cache`.
         """
         clear_feature_caches()
@@ -371,7 +329,6 @@ class IncrementalResolver:
         payload = sharded_payload(
             self.store,
             self.index,
-            workers=self.workers,
             load_budget_mb=budget / (1024 * 1024) if budget else None,
         )
         root = save_artifacts(
@@ -381,8 +338,6 @@ class IncrementalResolver:
             extra={
                 "resolver": {
                     "threshold": self.threshold,
-                    "engine": self.engine,
-                    "workers": self.workers,
                     "index": self.index.params(),
                     "sharded": payload_meta(payload),
                 }
@@ -395,13 +350,14 @@ class IncrementalResolver:
         return root
 
     @classmethod
-    def load(cls, path: str | Path, workers: int | None = None) -> "IncrementalResolver":
+    def load(cls, path: str | Path) -> "IncrementalResolver":
         """Restore a resolver saved with :meth:`save`, ready to keep resolving.
 
         Loading is lazy: only the ledger is read here, and payload/posting
-        shards stay on disk until a batch's tokens touch them. ``workers``
-        overrides the saved worker count for this process (serving and CLI
-        knob). Raises :class:`~repro.incremental.artifacts.ArtifactError`
+        shards stay on disk until a batch's tokens touch them. Artifacts
+        written before the feature engine and worker pool were retired carry
+        ``engine``/``workers`` keys; they load, and the keys are ignored.
+        Raises :class:`~repro.incremental.artifacts.ArtifactError`
         with ``reason="schema"`` — never a raw ``KeyError``/numpy traceback
         — when the artifact is valid but carries no loadable resolver state,
         including artifacts that embed the store in the manifest (the
@@ -451,7 +407,5 @@ class IncrementalResolver:
             index,
             store,
             threshold=payload["threshold"],
-            engine=payload["engine"],
             spec=spec,
-            workers=workers if workers is not None else payload["workers"],
         )

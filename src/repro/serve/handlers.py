@@ -316,9 +316,7 @@ class Router:
         for rid in (query.left, query.right):
             if rid not in store:
                 raise ProtocolError(404, f"no record with id {rid!r} in the store")
-        X = resolver.generator.transform(
-            store, None, [(query.left, query.right)], engine=resolver.engine
-        )
+        X = resolver.generator.transform(store, None, [(query.left, query.right)])
         explanation = resolver.model.explain(X)[0]
         return 200, explain_response(query, explanation, explanation.posterior)
 

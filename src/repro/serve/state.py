@@ -114,15 +114,10 @@ class ServingState:
             raise ProtocolError(
                 503, f"reload failed, previous version still serving: {exc}"
             ) from exc
-        retired = self._resolver
         self._resolver = resolver
         self.version = self._detect_version()
         self.loaded_at = time.time()
         self.n_reloads += 1
-        if retired is not None:
-            # release the retired resolver's worker pool (if any); read-only
-            # endpoints still holding its store are unaffected
-            retired.close()
         return {
             "previous_version": previous,
             "version": self.version,

@@ -1,8 +1,8 @@
-"""The resolution engine: partitioned store, index, and workers.
+"""The resolution engine: partitioned store and index.
 
 The streaming resolver of :mod:`repro.incremental` runs on the structures
 of this package — one shard by default, more to bound the working set of a
-store larger than memory — built from four orthogonal pieces:
+store larger than memory — built from three orthogonal pieces:
 
 * **partitioning** (:mod:`repro.shard.partition`) — stable, process- and
   machine-independent hashing of tokens and record ids onto shards, so a
@@ -14,15 +14,11 @@ store larger than memory — built from four orthogonal pieces:
   :mod:`repro.shard.index`) — :class:`~repro.shard.store.ShardedEntityStore`
   and :class:`~repro.shard.index.ShardedTokenIndex` partition payloads by
   record-id hash and postings by token hash while keeping the union-find
-  ledger global, so entity ids do not depend on the shard count;
-* **workers** (:mod:`repro.shard.pool`) — a spawn-safe multiprocessing
-  pool that featurizes candidate-pair chunks in parallel; scores are
-  reassembled in pair order and the match merge stays serial, so results
-  are bit-identical for any worker count.
+  ledger global, so entity ids do not depend on the shard count.
 
 The reference loops the engine is held to live with the test suite: the
-parity suite holds every shard/worker combination to bit-identical pairs,
-scores, match sets and entity ids against them.
+parity suite holds every shard count to bit-identical pairs, scores, match
+sets and entity ids against them.
 """
 
 from repro.shard.artifacts import load_sharded_state, sharded_payload
@@ -35,7 +31,6 @@ from repro.shard.partition import (
     stable_hash,
     validate_shard_count,
 )
-from repro.shard.pool import FeaturePool
 from repro.shard.storage import ShardFile, pack_column, unpack_column, write_shard_file
 from repro.shard.store import ShardedEntityStore, StoreSnapshot
 
@@ -53,7 +48,6 @@ __all__ = [
     "ShardedEntityStore",
     "StoreSnapshot",
     "ShardedTokenIndex",
-    "FeaturePool",
     "sharded_payload",
     "load_sharded_state",
 ]

@@ -161,7 +161,6 @@ def sharded_payload(
     store: ShardedEntityStore,
     index: ShardedTokenIndex,
     *,
-    workers: int = 1,
     load_budget_mb: float | None = None,
 ) -> dict:
     """Build the sharded artifact payload: manifest metadata + file images.
@@ -204,7 +203,6 @@ def sharded_payload(
         "layout_version": 1,
         "n_shards": store.n_shards,
         "n_records": len(store),
-        "workers": int(workers),
         "load_budget_mb": load_budget_mb,
         "files": files,
     }

@@ -1,11 +1,11 @@
 """Stable shard assignment for tokens and record ids.
 
 Everything here must be deterministic across processes, Python versions,
-and machines: a shard layout written once is routed against forever, and
-the spawn-based worker pool re-derives assignments in fresh interpreters.
-That rules out the builtin ``hash`` (randomized per process by
-``PYTHONHASHSEED``) — shard routing goes through BLAKE2b instead, keyed on
-a type-tagged byte encoding so ``1`` and ``"1"`` never collide.
+and machines: a shard layout written once is routed against forever, by
+every process that loads it. That rules out the builtin ``hash``
+(randomized per process by ``PYTHONHASHSEED``) — shard routing goes
+through BLAKE2b instead, keyed on a type-tagged byte encoding so ``1`` and
+``"1"`` never collide.
 """
 
 from __future__ import annotations

@@ -21,11 +21,17 @@ padded, masked passes. They are held to the previous kernels kept here:
 :func:`reference_kernels` swaps all of them into :mod:`repro.text.batch` and
 the feature generator for the duration of a ``with`` block, so whole
 transforms run on the oracle unchanged.
+
+:func:`per_pair_transform` is the oracle for whole transforms: it scores
+every feature through the generator's per-pair ``compute`` loop, the path
+a batch transform takes only for features without a kernel and for calls
+the Monge–Elkan kernel refuses.
 """
 
 from __future__ import annotations
 
 import contextlib
+import time
 from collections.abc import Sequence
 from unittest import mock
 
@@ -50,6 +56,7 @@ __all__ = [
     "reference_jaro_winkler_indexed",
     "reference_monge_elkan_jw_indexed",
     "reference_kernels",
+    "per_pair_transform",
 ]
 
 #: Value-combination buckets smaller than this fall back to the scalar edit
@@ -333,3 +340,23 @@ def reference_kernels():
             ):
                 stack.enter_context(mock.patch.object(module, name, kernel))
         yield
+
+
+def per_pair_transform(gen, left, right, pairs, *, timings: dict | None = None) -> np.ndarray:
+    """``gen.transform(left, right, pairs)`` with every feature scored per pair.
+
+    Same preparation caches as the batch transform, but each column comes
+    from :func:`~repro.features.generator._per_pair_scores`. ``timings``
+    collects per-feature wall-clock seconds, as ``transform`` does.
+    """
+    gen._check_fitted()
+    X = np.empty((len(pairs), len(gen.features_)), dtype=np.float64)
+    if X.size == 0:
+        return X
+    ctx = generator._BatchContext(left, right, pairs)
+    for j, spec in enumerate(gen.features_):
+        started = time.perf_counter()
+        X[:, j] = generator._per_pair_scores(spec, ctx)
+        if timings is not None:
+            timings[spec.name] = time.perf_counter() - started
+    return X

@@ -6,8 +6,8 @@ The production engine (:class:`~repro.shard.index.ShardedTokenIndex` and
 bit-identical to the plain loops kept here:
 
 * :class:`IncrementalTokenIndex` — dict-of-lists postings probed with a
-  per-record ``Counter`` and ranked by the blocker's shared
-  :func:`~repro.blocking.overlap.rank_overlap_candidates`;
+  per-record ``Counter`` and ranked by the per-record blocking oracle's
+  ``reference_blocking.rank_overlap_candidates``;
 * :class:`EntityStore` — a dict-backed union-find registry (older entity
   id survives a merge);
 * :func:`reference_freeze` / :func:`reference_resolve` — seed both from a
@@ -24,12 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro.blocking.overlap import (
-    TokenOverlapBlocker,
-    rank_overlap_candidates,
-    record_tokens,
-    validate_overlap_params,
-)
+from reference_blocking import rank_overlap_candidates
+from repro.blocking.overlap import TokenOverlapBlocker, record_tokens, validate_overlap_params
 from repro.data.table import Table
 from repro.shard.store import StoreSnapshot
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -286,9 +282,7 @@ def reference_freeze(pipeline, threshold: float = 0.5):
     return index, store
 
 
-def reference_resolve(
-    generator, model, index, store, records, threshold: float = 0.5, engine: str = "batch"
-):
+def reference_resolve(generator, model, index, store, records, threshold: float = 0.5):
     """Resolve one batch: ``(pairs, scores)``; ``store`` ends up merged.
 
     Each record is probed before it is added, so later records of the batch
@@ -302,7 +296,7 @@ def reference_resolve(
         store.add(rec)
     if not pairs:
         return pairs, np.zeros(0)
-    scores = model.predict_proba(generator.transform(store, None, pairs, engine=engine))
+    scores = model.predict_proba(generator.transform(store, None, pairs))
     for pair, score in zip(pairs, scores):
         if score > threshold:
             store.merge(*pair)

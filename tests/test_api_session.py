@@ -147,37 +147,13 @@ class TestCachingAndOverrides:
         assert session.features_ is None
         assert session.matches_ is None
 
-    def test_blocking_engine_override(self, dataset):
-        pipeline = ERPipeline(blocking_attribute="name")
-        sparse_pairs = pipeline.session(dataset.left, dataset.right).block().pairs
-        session = pipeline.session(dataset.left, dataset.right)
-        per_record = session.block(blocking_engine="per-record")
-        assert per_record.blocker.engine == "per-record"
-        assert pipeline.blocker.engine == "sparse", "pipeline blocker must stay untouched"
-        assert per_record.pairs == sparse_pairs
-
-    def test_blocking_engine_override_rejects_other_blockers(self, dataset):
-        pipeline = ERPipeline(blocker=AttributeEquivalenceBlocker("city"))
-        session = pipeline.session(dataset.left, dataset.right)
-        with pytest.raises(ValueError, match="TokenOverlapBlocker"):
-            session.block(blocking_engine="per-record")
-
-    def test_feature_engine_override_matches_batch(self, dataset):
-        pipeline = ERPipeline(blocking_attribute="name")
-        session = pipeline.session(dataset.left, dataset.right)
-        batch = session.featurize()
-        per_pair = session.featurize(engine="per-pair")
-        assert per_pair.engine == "per-pair"
-        assert session.matches_ is None or session.matches_ is per_pair  # invalidated
-        assert np.array_equal(np.isnan(batch.X), np.isnan(per_pair.X))
-        assert np.allclose(batch.X, per_pair.X, equal_nan=True)
-
     def test_bad_overrides_raise(self, dataset):
         session = ERPipeline(blocking_attribute="name").session(dataset.left, dataset.right)
-        with pytest.raises(ValueError, match="engine"):
-            session.featurize(engine="bogus")
-        with pytest.raises(ValueError, match="engine"):
-            session.block(blocking_engine="bogus")
+        with pytest.raises(ValueError, match="kappa"):
+            session.match(kappa=-1.0)
+        with pytest.raises(TypeError, match="no_such_field"):
+            session.match(no_such_field=1)
+        assert session.matches_ is None, "a rejected override must not leave a match"
 
 
 class TestPipelineStatePublishing:

@@ -14,7 +14,7 @@ from repro import (
     load_benchmark,
     load_spec,
 )
-from repro.api import BlockingSpec, FeatureSpec, ModelSpec, OutputSpec
+from repro.api import BlockingSpec, FeatureSpec, ModelSpec, OutputSpec, ShardSpec
 from repro.blocking import (
     AttributeEquivalenceBlocker,
     QgramBlocker,
@@ -33,7 +33,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize(
         "blocker",
         [
-            TokenOverlapBlocker("name", min_overlap=2, top_k=30, engine="per-record"),
+            TokenOverlapBlocker("name", min_overlap=2, top_k=30),
             QgramBlocker("name", q=2, min_overlap=3),
             AttributeEquivalenceBlocker("city"),
             SortedNeighborhoodBlocker("name", window=7),
@@ -52,7 +52,7 @@ class TestRoundTrips:
     def test_pipeline_spec_json_round_trip(self):
         spec = PipelineSpec(
             blocking=BlockingSpec("qgram", {"attribute": "name", "q": 2}),
-            features=FeatureSpec(engine="per-pair", type_overrides={"age": "numeric"}),
+            features=FeatureSpec(type_overrides={"age": "numeric"}),
             model=ModelSpec(
                 config=ZeroERConfig(kappa=0.4, transitivity=False), co_candidate_cap=5
             ),
@@ -116,11 +116,10 @@ class TestBuildParity:
     def test_build_carries_every_knob(self):
         spec = PipelineSpec(
             blocking=BlockingSpec("token_overlap", {"attribute": "name"}),
-            features=FeatureSpec(engine="per-pair", type_overrides={"age": "numeric"}),
+            features=FeatureSpec(type_overrides={"age": "numeric"}),
             model=ModelSpec(config=ZeroERConfig(kappa=0.3), co_candidate_cap=4),
         )
         pipeline = spec.build()
-        assert pipeline.feature_engine == "per-pair"
         assert pipeline.config.kappa == 0.3
         assert pipeline.co_candidate_cap == 4
         from repro.features import AttributeType
@@ -169,10 +168,6 @@ class TestValidation:
                 }
             )
 
-    def test_bad_feature_engine(self):
-        with pytest.raises(SpecError, match="engine"):
-            FeatureSpec(engine="vectorized")
-
     def test_bad_type_override(self):
         with pytest.raises(SpecError, match="unknown attribute type"):
             FeatureSpec(type_overrides={"age": "integer"})
@@ -220,13 +215,11 @@ class TestProvenance:
             blocker=QgramBlocker("name", q=2),
             config=ZeroERConfig(kappa=0.33),
             co_candidate_cap=7,
-            feature_engine="per-pair",
         )
         spec = PipelineSpec.from_pipeline(pipeline, threshold=0.8)
         assert spec.blocking.type == "qgram"
         assert spec.model.config.kappa == 0.33
         assert spec.model.co_candidate_cap == 7
-        assert spec.features.engine == "per-pair"
         assert spec.output.threshold == 0.8
         # and the captured spec rebuilds an equivalent pipeline
         rebuilt = spec.build()
@@ -337,3 +330,39 @@ class TestLoadTolerance:
             loaded = IncrementalResolver.load(path)
         assert loaded.spec is None
         assert len(loaded.store) == len(merged)
+
+
+def retired_keys_spec() -> dict:
+    """A spec as written before the second blocking engine, the per-pair
+    feature engine and the featurization worker pool were retired."""
+    return {
+        "version": 1,
+        "blocking": {**TokenOverlapBlocker("name", top_k=60).to_spec(), "engine": "per-record"},
+        "features": {"engine": "per-pair", "type_overrides": {}},
+        "shard": {"shards": 2, "workers": 3, "load_budget_mb": None},
+    }
+
+
+class TestRetiredKeys:
+    def test_spec_with_retired_keys_loads(self, tmp_path):
+        path = tmp_path / "old-spec.json"
+        path.write_text(json.dumps(retired_keys_spec()))
+        spec = load_spec(path)
+        assert spec.features == FeatureSpec()
+        assert spec.shard == ShardSpec(shards=2)
+        pipeline = spec.build()
+        assert pipeline.blocker.to_spec() == TokenOverlapBlocker("name", top_k=60).to_spec()
+
+    def test_retired_keys_are_not_written_back(self):
+        doc = load_spec(retired_keys_spec()).to_dict()
+        assert "engine" not in doc["blocking"]
+        assert "engine" not in doc["features"]
+        assert "workers" not in doc["shard"]
+
+    def test_union_member_with_retired_engine_builds(self):
+        union = {
+            "type": "union",
+            "blockers": [{"type": "qgram", "attribute": "name", "engine": "per-record"}],
+        }
+        (member,) = load_spec({"blocking": union}).blocking.build().blockers
+        assert member.to_spec() == QgramBlocker("name").to_spec()

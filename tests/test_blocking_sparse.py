@@ -1,22 +1,17 @@
-"""The sparse columnar blocking engine is equivalent to the per-record path.
+"""The sparse columnar blocking kernel is equivalent to the per-record loop.
 
 Acceptance bar for the blocking engine: on every fixture dataset, in both
-record-linkage and deduplication modes, the sparse engine emits the
-*bit-identical* candidate pair list (same pairs, same order) as the
-Counter-based reference — plus engine-knob plumbing through blocker and
-pipeline.
+record-linkage and deduplication modes, ``TokenOverlapBlocker.block`` emits
+the *bit-identical* candidate pair list (same pairs, same order) as the
+Counter-based oracle in ``reference_blocking`` — through the blocker and
+through the pipeline.
 """
 
 import numpy as np
 import pytest
 
-from repro.blocking import (
-    BLOCKING_ENGINES,
-    QgramBlocker,
-    TokenOverlapBlocker,
-    UnionBlocker,
-    candidate_statistics,
-)
+from reference_blocking import PerRecordBlocker
+from repro.blocking import QgramBlocker, TokenOverlapBlocker, candidate_statistics
 from repro.blocking.batch import TokenEncoding, sparse_overlap_select
 from repro.data.benchmarks import BENCHMARK_NAMES, load_benchmark
 from repro.data.table import Table
@@ -34,10 +29,9 @@ _ATTR = {
 
 
 def _engines(attr, **params):
-    return (
-        TokenOverlapBlocker(attr, engine="sparse", **params),
-        TokenOverlapBlocker(attr, engine="per-record", **params),
-    )
+    """The production blocker and the per-record oracle, same parameters."""
+    blocker = TokenOverlapBlocker(attr, **params)
+    return blocker, PerRecordBlocker(blocker)
 
 
 class TestDatasetParity:
@@ -73,9 +67,8 @@ class TestDatasetParity:
     @pytest.mark.parametrize("name", ["rest_fz", "prod_ag"])
     def test_qgram_parity(self, name):
         ds = load_benchmark(name, scale="tiny", seed=3)
-        attr = _ATTR[name]
-        sparse = QgramBlocker(attr, engine="sparse")
-        ref = QgramBlocker(attr, engine="per-record")
+        sparse = QgramBlocker(_ATTR[name])
+        ref = PerRecordBlocker(sparse)
         assert sparse.block(ds.left, ds.right) == ref.block(ds.left, ds.right)
 
 
@@ -145,37 +138,23 @@ class TestEdgeCases:
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            TokenOverlapBlocker("name", engine="turbo")
-        assert set(BLOCKING_ENGINES) == {"sparse", "per-record"}
 
 
 class TestPipelineAndKnobs:
     def test_pipeline_engines_agree(self):
+        # the pipeline's default blocker scores exactly the oracle's pairs
         merged, _ = load_benchmark("rest_fz", scale="tiny", seed=6).as_dedup()
-        results = {}
-        for engine in BLOCKING_ENGINES:
-            pipeline = ERPipeline(blocking_attribute="name", blocking_engine=engine)
-            results[engine] = pipeline.run(merged)
-        assert results["sparse"].pairs == results["per-record"].pairs
-        assert np.allclose(results["sparse"].scores, results["per-record"].scores)
+        pipeline = ERPipeline(blocking_attribute="name")
+        result = pipeline.run(merged)
+        assert result.pairs == PerRecordBlocker(pipeline.blocker).block(merged)
 
-    def test_pipeline_engine_applied_without_mutating_callers_blocker(self):
-        blocker = TokenOverlapBlocker("name", engine="sparse")
-        pipeline = ERPipeline(blocker=blocker, blocking_engine="per-record")
-        assert pipeline.blocker.engine == "per-record"
-        assert blocker.engine == "sparse"  # caller's object untouched
-        assert pipeline.blocker.attribute == "name"
-
-    def test_pipeline_engine_rejects_non_overlap_blocker(self):
-        union = UnionBlocker([TokenOverlapBlocker("name")])
-        with pytest.raises(ValueError, match="blocking_engine"):
-            ERPipeline(blocker=union, blocking_engine="sparse")
-
-    def test_pipeline_engine_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            ERPipeline(blocking_attribute="name", blocking_engine="turbo")
+    def test_retired_engine_spec_key_is_ignored(self):
+        for engine in ("sparse", "per-record"):
+            spec = {"type": "token_overlap", "attribute": "name", "top_k": 5, "engine": engine}
+            blocker = TokenOverlapBlocker.from_spec(spec)
+            assert blocker.to_spec() == TokenOverlapBlocker("name", top_k=5).to_spec()
+            qgram = QgramBlocker.from_spec({"type": "qgram", "attribute": "name", "engine": engine})
+            assert "engine" not in qgram.to_spec()
 
 
 class TestCandidateStatistics:

@@ -9,6 +9,7 @@ asserts the bit-identical pair-list contract in both calling modes.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_blocking import PerRecordBlocker
 from repro.blocking import TokenOverlapBlocker
 from repro.data.table import Table
 
@@ -44,10 +45,8 @@ _params = st.fixed_dictionaries(
 
 
 def _both(params):
-    return (
-        TokenOverlapBlocker("toks", engine="sparse", **params),
-        TokenOverlapBlocker("toks", engine="per-record", **params),
-    )
+    blocker = TokenOverlapBlocker("toks", **params)
+    return blocker, PerRecordBlocker(blocker)
 
 
 @settings(max_examples=150, deadline=None)
@@ -68,7 +67,7 @@ def test_dedup_parity(table, params):
 @given(table=_table("t"))
 def test_all_stopword_column_prunes_everything(table):
     # every record shares one universal token; a tight max_df prunes it, so
-    # the only candidates come from the other tokens — engines must agree
+    # the only candidates come from the other tokens — kernel and oracle agree
     rows = [{"id": rec["id"], "toks": f"common {rec['toks'] or ''}".strip()} for rec in table]
     dense = Table(rows, attributes=["toks"])
     sparse, ref = _both({"min_overlap": 1, "max_df": 0.1, "top_k": None})
@@ -79,7 +78,7 @@ def test_all_stopword_column_prunes_everything(table):
 @given(right=_table("r", min_rows=2))
 def test_top_k_one_ties_resolved_identically(right):
     # a probe overlapping many equal-count targets: top_k=1 must pick the
-    # earliest-inserted target in both engines
+    # earliest-inserted target in both the kernel and the oracle
     left = Table([{"id": "l0", "toks": " ".join(_TOKENS)}], attributes=["toks"])
     sparse, ref = _both({"min_overlap": 1, "max_df": 1.0, "top_k": 1})
     assert sparse.block(left, right) == ref.block(left, right)

@@ -219,3 +219,68 @@ class TestSpecCLI:
         )
         assert code == 2
         assert "nosuchcol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blocking, blocker_class",
+        [
+            (
+                {"type": "union", "blockers": [{"type": "token_overlap", "attribute": "name"}]},
+                "UnionBlocker",
+            ),
+            (
+                {"type": "sorted_neighborhood", "attribute": "name", "window": 3},
+                "SortedNeighborhoodBlocker",
+            ),
+            ({"type": "attr_equivalence", "attribute": "city"}, "AttributeEquivalenceBlocker"),
+        ],
+        ids=["union", "sorted_neighborhood", "attr_equivalence"],
+    )
+    def test_fit_rejects_blocker_freeze_cannot_index(
+        self, csv_world, capsys, blocking, blocker_class
+    ):
+        """fit fails cleanly, before fitting, when freeze() could not index."""
+        import json
+
+        spec_path = csv_world / f"unindexable_{blocking['type']}.json"
+        spec_path.write_text(json.dumps({"blocking": blocking}))
+        art = csv_world / f"art_unindexable_{blocking['type']}"
+        code = main(
+            ["fit", "--left", str(csv_world / "base.csv"),
+             "--spec", str(spec_path), "--artifacts", str(art)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and blocker_class in err
+        assert "Traceback" not in err
+        assert not art.exists()
+
+    def test_fit_accepts_spec_with_retired_keys(self, csv_world):
+        """A spec written before the engine/worker knobs were retired still fits."""
+        import json
+
+        from repro.incremental.artifacts import artifact_dir
+
+        spec = {
+            "version": 1,
+            "blocking": {
+                "type": "token_overlap",
+                "attribute": "name",
+                "top_k": 60,
+                "engine": "per-record",
+            },
+            "features": {"engine": "per-pair", "type_overrides": {}},
+            "shard": {"shards": 2, "workers": 3, "load_budget_mb": None},
+        }
+        spec_path = csv_world / "retired_keys.json"
+        spec_path.write_text(json.dumps(spec))
+        art = csv_world / "art_retired_keys"
+        assert main(
+            ["fit", "--left", str(csv_world / "base.csv"),
+             "--spec", str(spec_path), "--artifacts", str(art)]
+        ) == 0
+        manifest = json.loads((artifact_dir(art) / "manifest.json").read_text())
+        assert manifest["extra"]["resolver"]["sharded"]["n_shards"] == 2
+        embedded = manifest["pipeline_spec"]
+        assert "engine" not in embedded["blocking"]
+        assert "engine" not in embedded["features"]
+        assert embedded["shard"] == {"shards": 2, "load_budget_mb": None}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_batch import per_pair_transform
 from repro.data.table import Table
 from repro.features.generator import FeatureGenerator, clear_feature_caches, jw_cache_info
 from repro.features.types import AttributeType
@@ -156,7 +157,7 @@ class TestExactFeature:
         assert got[("l1", "r2")] == 0.0 and got[("l3", "r1")] == 0.0
         assert np.isnan(got[("l2", "r1")]) and np.isnan(got[("l1", "r4")])
         assert np.isnan(got[("l2", "r4")])
-        per_pair = gen.transform(left, right, pairs, engine="per-pair")[:, 0]
+        per_pair = per_pair_transform(gen, left, right, pairs)[:, 0]
         assert X.tobytes() == per_pair.tobytes()
 
     def test_dedup_batch_matches_per_pair(self, coded):
@@ -164,12 +165,12 @@ class TestExactFeature:
         ids = left.ids()
         pairs = [(a, b) for a in ids for b in ids]
         X = gen.transform(left, None, pairs)[:, 0]
-        assert X.tobytes() == gen.transform(left, None, pairs, engine="per-pair")[:, 0].tobytes()
+        assert X.tobytes() == per_pair_transform(gen, left, None, pairs)[:, 0].tobytes()
         assert set(X[np.isfinite(X)].tolist()) == {0.0, 1.0}
 
 
 def test_batch_transform_leaves_jw_token_cache_untouched(tables):
-    # the Jaro–Winkler token cache serves the per-pair path only
+    # the Jaro–Winkler token cache serves the per-pair fallback only
     left, right = tables
     gen = FeatureGenerator().fit(left, right)
     assert any(name.endswith("_me_jw") for name in gen.feature_names_)
@@ -178,6 +179,6 @@ def test_batch_transform_leaves_jw_token_cache_untouched(tables):
     gen.transform(left, right, pairs)
     info = jw_cache_info()
     assert info["hits"] == info["misses"] == info["currsize"] == 0
-    gen.transform(left, right, pairs, engine="per-pair")
+    per_pair_transform(gen, left, right, pairs)
     assert jw_cache_info()["misses"] > 0
     clear_feature_caches()

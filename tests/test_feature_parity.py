@@ -1,14 +1,16 @@
-"""Batch-engine `transform` is equivalent to the per-pair reference path.
+"""`FeatureGenerator.transform` is equivalent to the per-pair oracle.
 
-The acceptance bar for the columnar featurization engine: on every fixture
+The acceptance bar for the columnar featurization kernels: on every fixture
 dataset (and a battery of hand-built edge cases) the batch matrix has the
-identical NaN pattern and values ``allclose`` to the per-pair reference —
-and for the set/edit measures, bit-identical values.
+identical NaN pattern and values ``allclose`` to
+``reference_batch.per_pair_transform`` — and for the set/edit measures,
+bit-identical values.
 """
 
 import numpy as np
 import pytest
 
+from reference_batch import per_pair_transform
 from repro.data.benchmarks import BENCHMARK_NAMES, load_benchmark
 from repro.data.table import Table
 from repro.eval.harness import blocker_for
@@ -20,8 +22,8 @@ _MAX_PAIRS = 600
 
 
 def _assert_parity(gen, left, right, pairs, *, rtol=1e-9, atol=1e-12):
-    X_batch = gen.transform(left, right, pairs, engine="batch")
-    X_ref = gen.transform(left, right, pairs, engine="per-pair")
+    X_batch = gen.transform(left, right, pairs)
+    X_ref = per_pair_transform(gen, left, right, pairs)
     assert X_batch.shape == X_ref.shape
     assert np.array_equal(np.isnan(X_batch), np.isnan(X_ref)), "NaN patterns differ"
     assert np.allclose(
@@ -84,7 +86,7 @@ class TestEdgeCases:
 
     def test_non_bmp_unicode(self):
         # astral-plane characters: the utf-32 batch encoding must agree with
-        # python-level character semantics in every engine
+        # python-level character semantics in the kernels and the oracle
         names = ["𝕏-ray crystallography", "x-ray crystallography", "𝄞 music 𝄞 notation",
                  "café ☕ corner", "naïve 𝒷ayes", "naive bayes"]
         left = Table([{"id": f"l{i}", "name": v} for i, v in enumerate(names)])
@@ -131,12 +133,6 @@ class TestEdgeCases:
         gen = FeatureGenerator().fit(left)
         assert gen.transform(left, None, []).shape == (0, len(gen.feature_names_))
 
-    def test_unknown_engine_rejected(self):
-        left = Table([{"id": "l1", "name": "x"}])
-        gen = FeatureGenerator().fit(left)
-        with pytest.raises(ValueError, match="engine"):
-            gen.transform(left, None, [("l1", "l1")], engine="turbo")
-
     def test_timings_collected(self):
         left = Table([{"id": "l1", "name": "golden dragon"}, {"id": "l2", "name": "blue lotus"}])
         gen = FeatureGenerator().fit(left)
@@ -161,41 +157,20 @@ class TestRestoredGeneratorParity:
 
 class TestIncrementalResolverParity:
     def test_resolver_scores_identical_across_engines(self):
+        # the resolver's batch kernels score what the per-pair oracle scores
         merged, _ = load_benchmark("rest_fz", scale="tiny", seed=6).as_dedup()
         records = list(merged)
-        base = Table(records[:-8], attributes=merged.attributes)
-        arriving = records[-8:]
-
-        results = {}
-        for engine in ("batch", "per-pair"):
-            pipeline = ERPipeline(blocking_attribute="name", feature_engine=engine)
-            pipeline.run(base)
-            resolver = pipeline.freeze()
-            assert resolver.engine == engine
-            results[engine] = resolver.resolve(arriving)
-
-        batch, ref = results["batch"], results["per-pair"]
-        assert batch.pairs == ref.pairs
-        assert np.allclose(batch.scores, ref.scores, rtol=1e-9)
-        assert batch.assignments == ref.assignments
-
-    def test_engine_validated_eagerly_and_persisted(self, tmp_path):
-        from repro.incremental.resolver import IncrementalResolver
-
-        with pytest.raises(ValueError, match="engine must be"):
-            ERPipeline(blocking_attribute="name", feature_engine="turbo")
-
-        merged, _ = load_benchmark("rest_fz", scale="tiny", seed=6).as_dedup()
-        pipeline = ERPipeline(blocking_attribute="name", feature_engine="per-pair")
-        pipeline.run(merged)
+        pipeline = ERPipeline(blocking_attribute="name")
+        pipeline.run(Table(records[:-8], attributes=merged.attributes))
         resolver = pipeline.freeze()
-        with pytest.raises(ValueError, match="engine"):
-            IncrementalResolver(
-                resolver.generator, resolver.model, resolver.index, resolver.store,
-                engine="perpair",
-            )
-        resolver.save(tmp_path / "art")
-        assert IncrementalResolver.load(tmp_path / "art").engine == "per-pair"
+        result = resolver.resolve(records[-8:])
+        assert result.pairs
+
+        X_ref = per_pair_transform(resolver.generator, resolver.store, None, result.pairs)
+        ref_scores = resolver.model.predict_proba(X_ref)
+        assert np.allclose(result.scores, ref_scores, rtol=1e-9)
+        ref_matches = [p for p, s in zip(result.pairs, ref_scores) if s > resolver.threshold]
+        assert result.matches == ref_matches
 
     def test_clear_caches_hook(self):
         merged, _ = load_benchmark("rest_fz", scale="tiny", seed=6).as_dedup()

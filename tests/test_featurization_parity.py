@@ -38,7 +38,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_batch import reference_kernels, reference_monge_elkan_jw_indexed
+from reference_batch import (
+    per_pair_transform,
+    reference_kernels,
+    reference_monge_elkan_jw_indexed,
+)
 from repro import ERPipeline, load_benchmark
 from repro.data.table import Table
 from repro.eval.harness import blocker_for, co_candidate_pairs
@@ -314,8 +318,8 @@ def test_packing_overflow_falls_back_to_per_pair(monkeypatch):
 
     monkeypatch.setattr(batch, "_MONGE_ELKAN_CHUNK_CELLS", 2**40)
     assert batch.batch_monge_elkan_jw_indexed(bags, rows, bags, rows) is None
-    fallback = gen.transform(left, right, pairs, engine="batch")[:, me]
-    per_pair = gen.transform(left, right, pairs, engine="per-pair")[:, me]
+    fallback = gen.transform(left, right, pairs)[:, me]
+    per_pair = per_pair_transform(gen, left, right, pairs)[:, me]
     assert np.array_equal(fallback, per_pair, equal_nan=True)
 
 

@@ -79,20 +79,6 @@ class TestERPipeline:
         assert scores == sorted(scores, reverse=True)
         assert set(result.matches) == {p for p, l in zip(result.pairs, result.labels) if l == 1}
 
-    def test_blocking_engine_override_shares_no_state(self, dataset):
-        # regression: the engine override used to shallow-copy the caller's
-        # blocker, sharing its mutable tokenizer with the pipeline's copy
-        from repro.blocking import TokenOverlapBlocker
-
-        blocker = TokenOverlapBlocker("name", engine="per-record")
-        pipeline = ERPipeline(blocker=blocker, blocking_engine="sparse")
-        assert blocker.engine == "per-record", "caller's blocker must stay untouched"
-        assert pipeline.blocker is not blocker
-        assert pipeline.blocker.engine == "sparse"
-        assert pipeline.blocker.tokenizer is not blocker.tokenizer, (
-            "deep copy required: mutable blocker state must never be shared"
-        )
-
     def test_timings_recorded(self, dataset):
         pipeline = ERPipeline(blocking_attribute="name")
         result = pipeline.run(dataset.left, dataset.right)

@@ -10,6 +10,7 @@ from repro.data.table import Table
 from repro.incremental import ArtifactError, IncrementalResolver
 from repro.incremental.artifacts import artifact_dir, save_artifacts
 from repro.reliability.atomic import IntegrityError
+from repro.shard.artifacts import payload_meta, sharded_payload, write_payload_files
 from repro import ERPipeline
 
 _SUFFIXES = ("grill", "bistro", "cafe", "diner", "tavern", "kitchen")
@@ -95,12 +96,6 @@ class TestShardedLayout:
         assert out_loaded.matches == out_live.matches
         np.testing.assert_array_equal(out_loaded.scores, out_live.scores)
         assert out_loaded.assignments == out_live.assignments
-
-    def test_workers_survive_save_and_load_override(self, fitted_pipeline, tmp_path):
-        root = tmp_path / "art"
-        fitted_pipeline.freeze(shards=2, workers=3).save(root)
-        assert IncrementalResolver.load(root).workers == 3
-        assert IncrementalResolver.load(root, workers=1).workers == 1
 
 
 class TestIncrementalSaves:
@@ -208,7 +203,7 @@ def _legacy_artifact(pipeline, root):
     }
     extra = {
         "threshold": resolver.threshold,
-        "engine": resolver.engine,
+        "engine": "batch",
         "workers": 1,
         "index": index_params,
         "store": store_state,
@@ -269,16 +264,61 @@ class TestServingSharded:
         assert result.record_ids == [r["id"] for r in request.records]
         assert state.resolver.store.snapshot().n_records == 39
 
-    def test_reload_closes_previous_resolver_pool(self, fitted_pipeline, tmp_path):
-        from repro.serve.state import ServingState
 
-        root = tmp_path / "art"
-        fitted_pipeline.freeze(shards=2, workers=2).save(root)
-        state = ServingState(root)
-        state.load()
-        retired = state.resolver
-        retired._feature_pool()  # force the pool into existence
-        assert retired._pool is not None
-        state.reload()
-        assert retired._pool is None  # reload shut the old pool down
-        assert state.resolver is not retired
+def _retired_keys_artifact(pipeline, root):
+    """An artifact as written before the feature engine and the worker pool
+    were retired: ``engine``/``workers`` in ``extra.resolver``, in its
+    sharded metadata and in the embedded spec."""
+    resolver = pipeline.freeze(shards=2)
+    payload = sharded_payload(resolver.store, resolver.index)
+    extra = {
+        "threshold": resolver.threshold,
+        "engine": "per-pair",
+        "workers": 3,
+        "index": resolver.index.params(),
+        "sharded": {**payload_meta(payload), "workers": 3},
+    }
+    spec = resolver.spec.to_dict()
+    spec["blocking"]["engine"] = "per-record"
+    spec["features"]["engine"] = "per-pair"
+    spec["shard"]["workers"] = 3
+    save_artifacts(
+        root,
+        resolver.generator,
+        resolver.model,
+        extra={"resolver": extra},
+        spec=spec,
+        extra_files=lambda staging: write_payload_files(staging, payload),
+    )
+    return root
+
+
+class TestRetiredKeys:
+    def test_artifact_with_engine_and_workers_loads_and_resolves(self, fitted_pipeline, tmp_path):
+        root = _retired_keys_artifact(fitted_pipeline, tmp_path / "art")
+        resolver = _manifest(root)["extra"]["resolver"]
+        assert resolver["engine"] == "per-pair" and resolver["workers"] == 3
+
+        loaded = IncrementalResolver.load(root)
+        assert loaded.store.n_shards == 2
+        assert loaded.spec.to_dict() == fitted_pipeline.freeze(shards=2).spec.to_dict()
+        batch = _batch("old-")
+        result = loaded.resolve([dict(r) for r in batch])
+
+        index, store = reference_freeze(fitted_pipeline)
+        pairs, scores = reference_resolve(
+            fitted_pipeline.generator_, fitted_pipeline.model_, index, store, batch
+        )
+        assert result.pairs == pairs
+        assert result.scores.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
+        assert result.assignments == {r["id"]: store.entity_of(r["id"]) for r in batch}
+
+        # the next save writes none of the retired keys
+        loaded.save(root)
+        manifest = _manifest(root)
+        resolver = manifest["extra"]["resolver"]
+        assert "engine" not in resolver and "workers" not in resolver
+        assert "workers" not in resolver["sharded"]
+        assert "engine" not in manifest["pipeline_spec"]["blocking"]
+        assert "engine" not in manifest["pipeline_spec"]["features"]
+        assert "workers" not in manifest["pipeline_spec"]["shard"]

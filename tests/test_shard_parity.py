@@ -1,11 +1,13 @@
 """Engine-vs-reference parity on the six fixture benchmarks.
 
 The acceptance bar for the resolution engine: for every fixture dataset
-(linkage and dedup), any shard count, and workers 1 or 4, a resolve batch
-must produce bit-identical candidate pairs, scores, match sets, and stable
-entity ids to the reference loop in ``reference_engine``. One batch fit per
-dataset is shared across configurations (``freeze`` re-derives the frozen
-state, so each configuration still gets its own store/index).
+(linkage and dedup) and any shard count, a resolve batch must produce
+bit-identical candidate pairs, scores, match sets, and stable entity ids
+to the reference loop in ``reference_engine``; and featurizing a batch's
+pairs in contiguous chunks, each against only the records it references,
+must reproduce the one-call matrix bit for bit. One batch fit per dataset
+is shared across configurations (``freeze`` re-derives the frozen state,
+so each configuration still gets its own store/index).
 """
 
 import numpy as np
@@ -67,17 +69,14 @@ def _reference_fingerprint(pipeline, bench, batch=None):
     return _fingerprint(pairs, scores, store, [r[bench.left.id_attr] for r in batch])
 
 
-def _engine_fingerprint(pipeline, bench, *, shards, workers, batch=None):
+def _engine_fingerprint(pipeline, bench, *, shards, batch=None):
     batch = _held_out_batch(bench) if batch is None else batch
-    resolver = pipeline.freeze(0.5, shards=shards, workers=workers)
-    try:
-        result = resolver.resolve([dict(r) for r in batch])
-        fingerprint = _fingerprint(result.pairs, result.scores, resolver.store, result.record_ids)
-        assert fingerprint["matches"] == result.matches
-        assert fingerprint["assignments"] == result.assignments
-        return fingerprint
-    finally:
-        resolver.close()
+    resolver = pipeline.freeze(0.5, shards=shards)
+    result = resolver.resolve([dict(r) for r in batch])
+    fingerprint = _fingerprint(result.pairs, result.scores, resolver.store, result.record_ids)
+    assert fingerprint["matches"] == result.matches
+    assert fingerprint["assignments"] == result.assignments
+    return fingerprint
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -85,16 +84,47 @@ def test_sharded_resolve_is_bit_identical(name):
     pipeline, bench = _fitted(name)
     reference = _reference_fingerprint(pipeline, bench)
     for shards in (1, 2, 5, 16):
-        engine = _engine_fingerprint(pipeline, bench, shards=shards, workers=1)
+        engine = _engine_fingerprint(pipeline, bench, shards=shards)
         assert engine == reference, f"{name} diverged at shards={shards}"
 
 
+def _chunk_bounds(n):
+    """Contiguous chunk boundaries over ``n`` pairs: a 1-pair chunk, then
+    uneven ones (sizes 2, 3, 5, ...), the last taking the remainder."""
+    bounds, size = [0, 1], 2
+    while bounds[-1] + size < n:
+        bounds.append(bounds[-1] + size)
+        size = size + 1 if size < 3 else size * 2 - 1
+    if bounds[-1] < n:
+        bounds.append(n)
+    return bounds
+
+
 @pytest.mark.parametrize("name", DATASETS)
-def test_worker_pool_is_bit_identical(name):
-    """workers=4 featurizes in subprocesses; scores must not move a bit."""
+def test_chunked_featurization_is_bit_identical(name):
+    """A batch's feature matrix does not depend on how its pairs are split.
+
+    Each contiguous chunk is featurized against a dict holding only the
+    records its pairs reference; stacking the chunks must reproduce one
+    call over all pairs against the whole store, bit for bit.
+    """
     pipeline, bench = _fitted(name)
-    reference = _reference_fingerprint(pipeline, bench)
-    assert _engine_fingerprint(pipeline, bench, shards=3, workers=4) == reference
+    resolver = pipeline.freeze(0.5)
+    result = resolver.resolve([dict(r) for r in _held_out_batch(bench)])
+    pairs, store, generator = result.pairs, resolver.store, resolver.generator
+    assert len(pairs) > 1, f"{name}: the held-out batch retrieved too few pairs"
+    whole = generator.transform(store, None, pairs)
+
+    bounds = _chunk_bounds(len(pairs))
+    assert bounds[1] == 1 and len(bounds) > 3
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = pairs[lo:hi]
+        records = {rid: store.get(rid) for pair in chunk for rid in pair}
+        chunks.append(generator.transform(records, None, chunk))
+    stacked = np.vstack(chunks)
+    assert stacked.shape == whole.shape
+    assert stacked.tobytes() == whole.tobytes(), f"{name}: chunked features diverged"
 
 
 def test_shard_stats_on_every_resolve():
@@ -102,15 +132,11 @@ def test_shard_stats_on_every_resolve():
     batch = _held_out_batch(bench, n=10)
     for shards in (1, 4):
         resolver = pipeline.freeze(0.5, shards=shards)
-        try:
-            result = resolver.resolve([dict(r) for r in batch])
-            stats = result.shard_stats
-            assert stats["n_shards"] == shards
-            assert stats["workers"] == 1
-            assert set(stats["index_shards_touched"]) <= set(range(shards))
-            assert sum(stats["pairs_per_shard"].values()) == len(result.pairs)
-        finally:
-            resolver.close()
+        result = resolver.resolve([dict(r) for r in batch])
+        stats = result.shard_stats
+        assert stats["n_shards"] == shards
+        assert set(stats["index_shards_touched"]) <= set(range(shards))
+        assert sum(stats["pairs_per_shard"].values()) == len(result.pairs)
 
 
 def test_mixed_batch_merges_match_reference():
@@ -125,5 +151,5 @@ def test_mixed_batch_merges_match_reference():
         twins.append(dict(rec, **{id_attr: f"dup-b-{i}"}))
     reference = _reference_fingerprint(pipeline, bench, batch=twins)
     assert reference["matches"]
-    engine = _engine_fingerprint(pipeline, bench, shards=5, workers=1, batch=twins)
+    engine = _engine_fingerprint(pipeline, bench, shards=5, batch=twins)
     assert engine == reference

@@ -240,25 +240,6 @@ class TestEngineInstrumentation:
             "matching",
         ]
 
-    def test_counter_parity_between_feature_engines(self, dataset):
-        counters = {}
-        for engine in ("batch", "per-pair"):
-            configure_telemetry("memory")
-            reset_metrics()
-            result = ERPipeline(
-                blocking_attribute="name", feature_engine=engine
-            ).run(dataset.left, dataset.right)
-            counters[engine] = result.telemetry.metrics["counters"]
-            configure_telemetry(None)
-        keys = (
-            "blocking.candidate_pairs",
-            "features.pairs_scored",
-            "matching.pairs_scored",
-            "matching.matches",
-        )
-        for key in keys:
-            assert counters["batch"][key] == counters["per-pair"][key], key
-
     def test_per_feature_kernel_spans_and_gauges(self, dataset):
         sink = configure_telemetry("memory")
         result = ERPipeline(blocking_attribute="name").run(dataset.left, dataset.right)
