@@ -10,6 +10,7 @@ crossovers — is what each bench checks.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,12 @@ def preprocessed(prep: PreparedDataset) -> np.ndarray:
 
 
 def make_supervised(method: str, seed: int):
-    """Paper §7.1 baselines with bench-speed settings (see DESIGN.md)."""
+    """Paper §7.1 baselines with bench-speed settings.
+
+    Fewer trees and epochs than a tuned fit, and at most
+    :data:`MAX_TRAIN_ROWS` training rows, so the Table 2 and 3 benches stay
+    minutes long; no measurement compares them with tuned settings.
+    """
     if method == "LR":
         return LogisticRegression(l2=1.0)
     if method == "RF":
@@ -233,7 +239,7 @@ def validate_bench_report(doc: dict) -> None:
         raise ValueError("invalid bench report: " + "; ".join(problems))
 
 
-def write_bench_report(name: str, workloads: list, meta: dict | None = None) -> Path:
+def write_bench_report(name: str, workloads: list, meta: dict | None = None) -> Path | None:
     """Write ``BENCH_<name>.json`` next to the benchmarks.
 
     Machine-readable companion to the printed tables: benches that feed
@@ -242,6 +248,11 @@ def write_bench_report(name: str, workloads: list, meta: dict | None = None) -> 
     ``repro-bench/1`` envelope (validated before writing): tool version,
     benchmark name, workload rows built by :func:`bench_workload`, and a
     free-form ``meta`` dict (seed, scale, ...).
+
+    A smoke run (``REPRO_BENCH_SMOKE``) or a capped one
+    (``REPRO_BENCH_MAX_SCALE``) validates the report but writes nothing and
+    returns ``None``: its numbers are not the checked-in ones, so it must
+    not overwrite them.
     """
     from repro import __version__
 
@@ -253,11 +264,21 @@ def write_bench_report(name: str, workloads: list, meta: dict | None = None) -> 
         "meta": dict(meta or {}),
     }
     validate_bench_report(doc)
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+    if smoke or os.environ.get("REPRO_BENCH_MAX_SCALE"):
+        return None
     path = Path(__file__).resolve().parent / f"BENCH_{name}.json"
     with path.open("w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+def report_note(path: Path | None) -> str:
+    """The line a bench prints after :func:`write_bench_report`."""
+    if path is None:
+        return "smoke or capped run: report not written"
+    return f"report written to {path}"
 
 
 def emit(capfd, text: str) -> None:

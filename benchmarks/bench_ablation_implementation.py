@@ -1,7 +1,8 @@
-"""Repo-specific ablation: the implementation choices DESIGN.md documents.
+"""Repo-specific ablation: two implementation choices that are not the paper's.
 
-Not a paper table — this bench justifies the two places where our default
-deviates from the paper's literal algorithm (see DESIGN.md §6):
+Not a paper table — this bench prints F1 for the two places where our
+default deviates from the paper's literal algorithm (docs/architecture.md,
+"Implementation choices"):
 
 * **linkage schedule**: staged (train Fl/Fr first, calibration writes are
   sticky) vs the paper's joint interleaving;

@@ -18,15 +18,16 @@ of 10k / 100k / 1M records built from the corruption operators, emitting
 scale — bit-identical results asserted — plus an
 out-of-core leg where the saved store's mapped artifacts exceed the
 configured in-process load budget. Set ``REPRO_BENCH_SMOKE=1`` for a
-seconds-long CI run (smallest scale, no JSON); ``REPRO_BENCH_MAX_SCALE``
-caps the trajectory (the CI shard job stops at 100k).
+seconds-long CI run (smallest scale); ``REPRO_BENCH_MAX_SCALE`` caps the
+trajectory (the CI shard job stops at 100k). Neither writes a JSON report
+(see ``_bench_utils.write_bench_report``).
 """
 
 import os
 import time
 
 import numpy as np
-from _bench_utils import bench_workload, emit, one_shot, write_bench_report
+from _bench_utils import bench_workload, emit, one_shot, report_note, write_bench_report
 
 from repro.blocking import TokenOverlapBlocker
 from repro.data import load_benchmark
@@ -126,7 +127,7 @@ def test_incremental_vs_full_rerun(benchmark, capfd):
         "base_records": base_n,
         "initial_fit_sec": round(fit_seconds, 4),
     })
-    emit(capfd, f"report written to {report_path}")
+    emit(capfd, report_note(report_path))
 
     # the frozen model's parameters are untouched — EM never re-ran
     assert prior_after == prior_before
@@ -338,10 +339,6 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
             f"{out_of_core['resolve_sec']}s, loader {out_of_core['loader']}",
         )
 
-    if SMOKE:
-        emit(capfd, "smoke mode: skipping report write")
-        return
-
     report_path = write_bench_report("shard", rows, meta={
         "seed": SHARD_SEED,
         "fit_records": FIT_N,
@@ -349,4 +346,4 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
         "probes": PROBE_N,
         "out_of_core": out_of_core,
     })
-    emit(capfd, f"report written to {report_path}")
+    emit(capfd, report_note(report_path))

@@ -31,7 +31,8 @@ sequential, bounded p99 while shedding, and lookup p99 ≤ 50 ms at 100k
 records.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a seconds-long CI run (tiny scale, fewer
-records, and a relaxed floor — CI machines make poor load generators).
+records, a relaxed floor — CI machines make poor load generators — and no
+JSON report).
 """
 
 import json
@@ -46,7 +47,7 @@ from urllib.request import Request, urlopen
 
 import numpy as np
 
-from _bench_utils import bench_workload, emit, one_shot, write_bench_report
+from _bench_utils import bench_workload, emit, one_shot, report_note, write_bench_report
 
 from repro import ERPipeline
 from repro.blocking import TokenOverlapBlocker
@@ -434,7 +435,7 @@ def test_micro_batched_throughput_vs_sequential(benchmark, capfd):
         "grown_duplicates": GROWN_DUPLICATES,
         "initial_fit_sec": round(fit_seconds, 4),
     })
-    emit(capfd, f"report written to {report_path}")
+    emit(capfd, report_note(report_path))
 
     # every record made it through both scenarios
     assert batch_stats["sequential-http"]["resolved"] == N_RECORDS

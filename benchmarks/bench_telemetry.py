@@ -19,7 +19,7 @@ asserted in both modes.
 import os
 import time
 
-from _bench_utils import bench_workload, emit, one_shot, write_bench_report
+from _bench_utils import bench_workload, emit, one_shot, report_note, write_bench_report
 
 from repro import ERPipeline
 from repro.data import load_benchmark
@@ -84,21 +84,18 @@ def test_traced_vs_untraced_overhead(benchmark, capfd):
               f"(min of {REPEATS})",
     ))
 
-    if not SMOKE:
-        row = bench_workload(
-            DATASET,
-            "traced",
-            traced_sec,
-            baseline_engine="untraced",
-            baseline_seconds=untraced_sec,
-            speedup=untraced_sec / max(traced_sec, 1e-9),
-            scale=SCALE,
-            overhead_pct=round(overhead_pct, 2),
-        )
-        report_path = write_bench_report(
-            "telemetry", [row], meta={"seed": SEED, "repeats": REPEATS}
-        )
-        emit(capfd, f"report written to {report_path}")
+    row = bench_workload(
+        DATASET,
+        "traced",
+        traced_sec,
+        baseline_engine="untraced",
+        baseline_seconds=untraced_sec,
+        speedup=untraced_sec / max(traced_sec, 1e-9),
+        scale=SCALE,
+        overhead_pct=round(overhead_pct, 2),
+    )
+    report_path = write_bench_report("telemetry", [row], meta={"seed": SEED, "repeats": REPEATS})
+    emit(capfd, report_note(report_path))
 
     budget = MAX_OVERHEAD_FRACTION * untraced_sec + ABSOLUTE_SLACK_SEC
     assert overhead_sec < budget, (

@@ -59,20 +59,26 @@ class ZeroERConfig:
     #: EM iterations to run before the first transitivity calibration. The
     #: paper calibrates every E-step; calibrating against *uninitialized*
     #: within-table models mass-demotes posteriors from noise, so we let all
-    #: models stabilize first (implementation choice, documented in DESIGN.md).
+    #: models stabilize first. An implementation choice, not the paper's:
+    #: ``bench_ablation_implementation.py`` prints F1 for 0 and 5, and no
+    #: checked-in measurement backs the value 5.
     transitivity_warmup: int = 5
     #: Initialization threshold ε for the within-table models Fl/Fr in record
     #: linkage. Their candidate populations are co-candidate neighborhoods —
     #: *every* pair is textually similar — so the cross-model default ε = 0.5
     #: seeds far too large a match component; only near-identical pairs
-    #: should seed it (implementation choice, documented in DESIGN.md).
+    #: should seed it. An implementation choice, not the paper's; no
+    #: checked-in measurement backs the value 0.7.
     within_init_threshold: float = 0.7
     #: Record-linkage training schedule. ``"staged"`` (default) trains the
     #: within-table models Fl/Fr to convergence first and holds them fixed
     #: while F trains with calibration — calibration writes to Fl/Fr are then
     #: sticky, which prevents the raise-then-overwrite oscillation the joint
     #: schedule can fall into. ``"joint"`` is the paper's literal per-iteration
-    #: interleaving (F.E, F.M, Fl.M, Fl.E, Fr.M, Fr.E). See DESIGN.md.
+    #: interleaving (F.E, F.M, Fl.M, Fl.E, Fr.M, Fr.E). The staged default
+    #: was never backed by a measurement: at paper scale, joint's F1 was at or
+    #: above staged's in every run measured (docs/architecture.md,
+    #: "Implementation choices").
     linkage_mode: str = "staged"
 
     def __post_init__(self):

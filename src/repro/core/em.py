@@ -20,11 +20,12 @@ import numpy as np
 from repro.core.config import ZeroERConfig
 from repro.core.covariance import (
     pooled_correlation_blocks,
-    rescale_to_correlation,
+    variance_blocks,
     weighted_covariance,
     weighted_mean,
+    weighted_variances,
 )
-from repro.core.gaussian import BlockDiagonalGaussian
+from repro.core.gaussian import BlockDiagonalGaussian, stacked_logpdf
 from repro.core.initialization import magnitude_initialization
 from repro.core.regularization import apply_regularization, penalty_diagonal
 from repro.obs import add_counter, histogram_of, observe, set_gauge, span, telemetry_active
@@ -254,43 +255,74 @@ class EMRunner:
         If one component's effective mass has collapsed below
         ``config.min_component_mass``, its previous parameters are kept (a
         numerical guard; the prior keeps shrinking so EM still converges).
+        A covariance model that reads only per-feature variances (the shared
+        ``R``, or one feature per group) takes both components' variances
+        from one pass; only the ablations that read off-diagonals build a
+        ``d × d`` scatter per component.
         """
         cfg = self.config
         n = self.X.shape[0]
         weights = {"M": self.gamma, "U": 1.0 - self.gamma}
         masses = {c: float(w.sum()) for c, w in weights.items()}
+        kept: dict[str, BlockDiagonalGaussian] = {}
+        if self.params is not None:
+            for c, dist in (("M", self.params.match), ("U", self.params.unmatch)):
+                if masses[c] < cfg.min_component_mass:
+                    kept[c] = dist
 
         means: dict[str, np.ndarray] = {}
         for c, w in weights.items():
-            if masses[c] < cfg.min_component_mass and self.params is not None:
-                previous = self.params.match if c == "M" else self.params.unmatch
-                means[c] = previous.mean
+            if c in kept:
+                means[c] = kept[c].mean
             else:
                 means[c] = weighted_mean(self.X, np.maximum(w, 0.0) + 1e-300)
 
         penalty = penalty_diagonal(cfg, means["M"], means["U"])
 
-        distributions: dict[str, BlockDiagonalGaussian] = {}
-        for c, w in weights.items():
-            if masses[c] < cfg.min_component_mass and self.params is not None:
-                distributions[c] = self.params.match if c == "M" else self.params.unmatch
-                continue
-            # one d × d scatter per component, centered on its own mean;
-            # each group's covariance block is a slice of it
-            scatter = weighted_covariance(self.X, w, means[c])
-            blocks = []
-            for g, idx in enumerate(self.groups):
-                cov = scatter[np.ix_(idx, idx)]
-                if self._shared_correlation is not None:
-                    cov = rescale_to_correlation(cov, self._shared_correlation[g])
-                blocks.append(apply_regularization(cov, penalty, idx))
-            distributions[c] = BlockDiagonalGaussian(means[c], self.groups, blocks)
+        fitted = [c for c in weights if c not in kept]
+        if self._shared_correlation is not None or all(len(g) == 1 for g in self.groups):
+            # the model reads only variances: one pass for both components
+            variances = weighted_variances(
+                self.X,
+                np.stack([weights[c] for c in fitted]),
+                np.stack([means[c] for c in fitted]),
+            )
+            blocks = {
+                c: variance_blocks(var, self.groups, self._shared_correlation, penalty)
+                for c, var in zip(fitted, variances)
+            }
+        else:
+            # the ablations without the shared R read the off-diagonals: one
+            # d × d scatter per component, centered on its own mean
+            blocks = {}
+            for c in fitted:
+                scatter = weighted_covariance(self.X, weights[c], means[c])
+                blocks[c] = [
+                    apply_regularization(scatter[np.ix_(idx, idx)], penalty, idx)
+                    for idx in self.groups
+                ]
+        distributions = dict(kept)
+        for c in fitted:
+            distributions[c] = BlockDiagonalGaussian(means[c], self.groups, blocks[c])
 
         prior = float(np.clip(masses["M"] / n, cfg.prior_floor, 1.0 - cfg.prior_floor))
         self.params = MixtureParameters(prior, distributions["M"], distributions["U"])
         return self.params
 
     # -- E-step -----------------------------------------------------------------
+
+    def _log_joint(self, X: np.ndarray) -> np.ndarray:
+        """``(n, 2)``: log π_M + log p_M(x) and log(1 − π_M) + log p_U(x) per row.
+
+        Both components come from one whitening pass
+        (:func:`~repro.core.gaussian.stacked_logpdf`); the E-step and the
+        frozen scorer (:meth:`posterior`) share it.
+        """
+        params = self.params
+        log_joint = stacked_logpdf([params.match, params.unmatch], X)
+        log_joint[:, 0] += np.log(params.prior_match)
+        log_joint[:, 1] += np.log1p(-params.prior_match)
+        return log_joint
 
     def e_step(self) -> float:
         """Update posteriors from the current parameters (Equation 3).
@@ -300,10 +332,9 @@ class EMRunner:
         """
         if self.params is None:
             raise RuntimeError("m_step must run before e_step")
-        log_m = np.log(self.params.prior_match) + self.params.match.logpdf(self.X)
-        log_u = np.log1p(-self.params.prior_match) + self.params.unmatch.logpdf(self.X)
-        log_total = np.logaddexp(log_m, log_u)
-        gamma = np.exp(log_m - log_total)
+        log_joint = self._log_joint(self.X)
+        log_total = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        gamma = np.exp(log_joint[:, 0] - log_total)
         # flush vanishing posteriors to exact zero: subnormal floats in the
         # M-step's weighted sums hit the CPU's slow denormal path (an
         # order-of-magnitude per-iteration slowdown on large candidate sets)
@@ -529,7 +560,5 @@ class EMRunner:
         """Posterior match probabilities for new (already normalized) rows."""
         if self.params is None:
             raise RuntimeError("model has no parameters; fit first")
-        X = check_feature_matrix(X)
-        log_m = np.log(self.params.prior_match) + self.params.match.logpdf(X)
-        log_u = np.log1p(-self.params.prior_match) + self.params.unmatch.logpdf(X)
-        return np.exp(log_m - np.logaddexp(log_m, log_u))
+        log_joint = self._log_joint(check_feature_matrix(X))
+        return np.exp(log_joint[:, 0] - np.logaddexp(log_joint[:, 0], log_joint[:, 1]))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.em import MixtureParameters
+from repro.core.gaussian import stacked_logpdf
 
 __all__ = ["GroupContribution", "PairExplanation", "explain_pairs"]
 
@@ -67,9 +68,12 @@ def explain_pairs(params: MixtureParameters, X: np.ndarray) -> list[PairExplanat
         raise ValueError(f"X has {X.shape[1]} features, model has {match.n_features}")
     prior_log_odds = float(np.log(params.prior_match) - np.log1p(-params.prior_match))
 
-    # (n, n_groups) per-group log-likelihood ratios from each component's
-    # cached factor — the same kernel predict_proba scores with
-    stacked = match.group_logpdf(X) - unmatch.group_logpdf(X)
+    # (n, n_groups) per-group log-likelihood ratios: both components' group
+    # densities from one whitening pass of the density routine that
+    # predict_proba and the E-step score with
+    n_groups = len(match.groups)
+    per_group = stacked_logpdf([match, unmatch], X, per_group=True)
+    stacked = per_group[:, :n_groups] - per_group[:, n_groups:]
 
     explanations = []
     for i in range(X.shape[0]):

@@ -3,9 +3,14 @@
 Feature grouping (paper §3.2) makes each class-conditional distribution a
 product of independent per-group Gaussians — equivalently one Gaussian with
 a block-diagonal covariance (Equation 10). Each block is factorized once,
-on first use, into one block-diagonal inverse Cholesky factor; a log
-density is then a single whitening matmul per row block
-(:class:`~repro.utils.linalg.BlockFactor`).
+on first use, into one block-diagonal inverse Cholesky factor.
+
+:func:`stacked_logpdf` is the one density routine: it evaluates several
+distributions in a single whitening pass over the rows
+(:func:`~repro.utils.linalg.log_densities`). The EM E-step and the frozen
+scorer call it with both mixture components; :meth:`BlockDiagonalGaussian.logpdf`
+and :meth:`~BlockDiagonalGaussian.group_logpdf` are its one-component and
+per-group cases.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.utils.linalg import BlockFactor, factor_blocks
+from repro.utils.linalg import BlockFactor, factor_blocks, log_densities
 
-__all__ = ["BlockDiagonalGaussian"]
+__all__ = ["BlockDiagonalGaussian", "stacked_logpdf"]
 
 
 @dataclass
@@ -66,19 +71,13 @@ class BlockDiagonalGaussian:
         """The blocks' factorization, computed once on first use."""
         return factor_blocks(self.groups, self.blocks, self.n_features)
 
-    def _rows(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"X has {X.shape[1]} features, distribution has {self.n_features}")
-        return X
-
     def logpdf(self, X: np.ndarray) -> np.ndarray:
         """Per-row log density (the sum of the per-block log densities)."""
-        return self.factor.logpdf(self._rows(X), self.mean)
+        return stacked_logpdf([self], X)[:, 0]
 
     def group_logpdf(self, X: np.ndarray) -> np.ndarray:
         """Per-row, per-group log densities ``(n, n_groups)``, aligned with ``groups``."""
-        return self.factor.group_logpdf(self._rows(X), self.mean)
+        return stacked_logpdf([self], X, per_group=True)
 
     def covariance_matrix(self) -> np.ndarray:
         """The full ``d × d`` block-diagonal covariance (for inspection)."""
@@ -94,3 +93,21 @@ class BlockDiagonalGaussian:
         for idx, block in zip(self.groups, self.blocks):
             var[idx] = np.diag(block)
         return var
+
+
+def stacked_logpdf(
+    distributions: list[BlockDiagonalGaussian], X: np.ndarray, per_group: bool = False
+) -> np.ndarray:
+    """Log densities of the rows of ``X`` under each distribution, side by side.
+
+    Returns ``(n, k)`` for ``k`` distributions over the same features, or
+    with ``per_group`` each distribution's ``(n, n_groups)`` per-group log
+    densities concatenated along the columns. All of them come from one
+    whitening pass over ``X``, and every jittered block of every
+    distribution is recorded in the active health scope on each call.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for dist in distributions:
+        if X.shape[1] != dist.n_features:
+            raise ValueError(f"X has {X.shape[1]} features, distribution has {dist.n_features}")
+    return log_densities(X, [(dist.factor, dist.mean) for dist in distributions], per_group)

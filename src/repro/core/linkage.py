@@ -170,8 +170,7 @@ class ZeroERLinkage:
                     # calibrated posteriors before their own E-steps
                     for side in (self._left, self._right):
                         if side is not None:
-                            side.m_step()
-                            side.e_step()
+                            self._joint_side_step(side, traced)
                 cross._tail.append(cross.gamma.copy())
                 history.iteration_seconds.append(time.perf_counter() - started)
                 history.log_likelihoods.append(ll)
@@ -218,7 +217,35 @@ class ZeroERLinkage:
             sp.set(n_iterations=history.n_iterations, converged=history.converged)
         if traced:
             emit_fit_metrics("F", history, cross.gamma)
+            if joint:
+                # a staged side emitted its own metrics from its run()
+                for side in (self._left, self._right):
+                    if side is not None:
+                        emit_fit_metrics(side.name, side.history, side.gamma)
         return self
+
+    def _joint_side_step(self, side: EMRunner, traced: bool) -> None:
+        """One M- and E-step of a within-table model, recorded in its history.
+
+        Under the joint schedule a side steps once per F iteration and never
+        runs its own loop, so its history records each step here, as
+        :meth:`EMRunner.run` would: the log likelihood, the seconds, and
+        ``converged`` from the side's own last |ΔLL| against ``tol``.
+        """
+        started = time.perf_counter()
+        side.m_step()
+        ll = side.e_step()
+        side.history.iteration_seconds.append(time.perf_counter() - started)
+        side.history.log_likelihoods.append(ll)
+        if traced:
+            side.history.match_probability_histograms.append(
+                match_probability_histogram(side.gamma)
+            )
+        side.history.converged = (
+            side._previous_ll is not None and abs(ll - side._previous_ll) < self.config.tol
+        )
+        side._previous_ll = ll
+        side._iteration += 1
 
     # -- combined checkpoints ------------------------------------------------------
 

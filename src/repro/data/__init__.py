@@ -3,7 +3,8 @@
 The paper evaluates on six public benchmark datasets. No network access is
 available in this environment, so :mod:`repro.data.benchmarks` provides
 seeded synthetic generators that reproduce each dataset's scale, schema, and
-difficulty profile (see DESIGN.md §4 for the substitution argument).
+difficulty profile (docs/architecture.md, "Implementation choices", gives
+the substitution argument).
 """
 
 from repro.data.table import Table

@@ -15,7 +15,8 @@ replaced by a seeded generator that reproduces:
   product catalogs where vendor renames and shared boilerplate defeat plain
   string similarity.
 
-See DESIGN.md §4 for the substitution argument.
+docs/architecture.md ("Implementation choices") gives the substitution
+argument.
 """
 
 from __future__ import annotations
@@ -599,8 +600,8 @@ def _scaled_counts(spec: BenchmarkSpec, factor: float) -> tuple[int, int, int]:
     right = max(30, int(round(spec.right_rows * factor)))
     matches = max(12, int(round(spec.n_matches * factor)))
     # A right row holds at most one entity copy here, so it can participate
-    # in at most one gold match (Abt-Buy's handful of many-to-many pairs are
-    # dropped; see DESIGN.md).
+    # in at most one gold match: Abt-Buy's handful of many-to-many pairs are
+    # dropped, since a generated row is the copy of exactly one entity.
     matches = min(matches, right)
     return left, right, matches
 

@@ -5,9 +5,12 @@ covariance matrices that can be nearly singular (that is the entire point of
 the paper's Section 3.3). Everything here is written so a rank-deficient
 block degrades gracefully instead of raising ``LinAlgError`` mid-iteration.
 
-A block-diagonal covariance is factorized once into a :class:`BlockFactor`;
-each log density is then one whitening pass over :data:`ROW_BLOCK`-row
-blocks.
+A block-diagonal covariance is factorized once into a :class:`BlockFactor`.
+:func:`log_densities` then evaluates any number of such Gaussians in one
+pass over :data:`ROW_BLOCK`-row blocks: one matmul against their whitening
+factors side by side, one subtraction of the whitened means, one square and
+one 0/1 selector matmul give every component's Mahalanobis distance (or
+every feature group's) per row.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ __all__ = [
     "ROW_BLOCK",
     "BlockFactor",
     "factor_blocks",
+    "log_densities",
     "robust_cholesky",
     "gaussian_logpdf",
     "correlation_from_covariance",
 ]
 
 #: Rows per block in the streamed E- and M-step kernels. A block of a
-#: pub_da feature matrix (15 features) and its whitened copy take 2 × 240
-#: KiB, so both stay in L2 while a single matmul works on them.
+#: pub_da feature matrix (15 features) takes 240 KiB and its whitened copy
+#: for two components 480 KiB; 2048 rows timed fastest of the sizes tried
+#: for both kernels on pub_da's 120k-pair cross matrix (one BLAS thread).
 ROW_BLOCK = 2048
 
 #: Jitter ladder tried, in order, when a Cholesky factorization fails.
@@ -89,10 +94,10 @@ class BlockFactor:
 
     ``whiten`` is ``Wᵀ``, C-contiguous, for the ``d × d`` block-diagonal
     inverse Cholesky factor ``W`` (``W Σ Wᵀ = I``), so a row's Mahalanobis
-    distance ``‖(x − μ) Wᵀ‖²`` is one matmul and a squared norm.
-    ``log_dets`` are the per-block log-determinants. ``jitters`` holds the
-    jitter of each block that needed one; every density evaluation records
-    them again, so each health scope using the factor sees the degradation.
+    distance is ``‖x Wᵀ − μ Wᵀ‖²``. ``log_dets`` are the per-block
+    log-determinants. ``jitters`` holds the jitter of each block that needed
+    one; every density evaluation records them again, so each health scope
+    using the factor sees the degradation.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -100,38 +105,68 @@ class BlockFactor:
     log_dets: np.ndarray
     jitters: tuple[float, ...]
 
-    def _whitened(self, X: np.ndarray, mean: np.ndarray):
-        """Yield ``(rows, (X[rows] − mean) Wᵀ)`` over :data:`ROW_BLOCK`-row blocks."""
-        for jitter in self.jitters:
+
+def log_densities(X: np.ndarray, components, per_group: bool = False) -> np.ndarray:
+    """Per-row log densities of ``X`` under several ``N(mean, Σ)`` in one pass.
+
+    ``components`` is a sequence of ``(factor, mean)`` pairs over the same
+    ``d`` features. Returns ``(n, k)``, column ``c`` the log density under
+    component ``c``; with ``per_group``, ``(n, Σ_c n_groups_c)``, each
+    component's per-group log densities side by side (a row's groups of one
+    component sum to its log density).
+
+    Each :data:`ROW_BLOCK`-row block is multiplied once by every factor's
+    ``Wᵀ`` side by side (``d × k·d``); subtracting the whitened means
+    ``μ Wᵀ``, squaring in place and one matmul by a 0/1 selector (which
+    whitened coordinates belong to which component, or group) give all the
+    Mahalanobis distances at once. Both buffers are reused across blocks.
+    """
+    whiten = np.concatenate([factor.whiten for factor, _ in components], axis=1)
+    shift = np.concatenate([mean @ factor.whiten for factor, mean in components])
+    d = whiten.shape[0]
+    # output column j sums the squared whitened coordinates selected[j]
+    selected, constants = [], []
+    for c, (factor, _) in enumerate(components):
+        for jitter in factor.jitters:
             _record_jitter(jitter)
-        for start in range(0, X.shape[0], ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            yield rows, (X[rows] - mean) @ self.whiten
-
-    def logpdf(self, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """Per-row log density of ``N(mean, Σ)``."""
-        maha = np.empty(X.shape[0])
-        for rows, z in self._whitened(X, mean):
-            maha[rows] = np.einsum("ij,ij->i", z, z)
-        return -0.5 * (self.whiten.shape[0] * _LOG_2PI + self.log_dets.sum() + maha)
-
-    def group_logpdf(self, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """Per-row, per-group log densities ``(n, n_groups)``; rows sum to :meth:`logpdf`."""
-        member = np.zeros((self.whiten.shape[0], len(self.groups)))
-        for g, idx in enumerate(self.groups):
-            member[list(idx), g] = 1.0
-        maha = np.empty((X.shape[0], len(self.groups)))
-        for rows, z in self._whitened(X, mean):
-            maha[rows] = (z * z) @ member
-        return -0.5 * (member.sum(axis=0) * _LOG_2PI + self.log_dets + maha)
+        if per_group:
+            for idx, log_det in zip(factor.groups, factor.log_dets):
+                selected.append([c * d + j for j in idx])
+                constants.append(len(idx) * _LOG_2PI + log_det)
+        else:
+            selected.append(range(c * d, (c + 1) * d))
+            constants.append(d * _LOG_2PI + factor.log_dets.sum())
+    selector = np.zeros((whiten.shape[1], len(selected)))
+    for column, rows in enumerate(selected):
+        selector[list(rows), column] = 1.0
+    n = X.shape[0]
+    out = np.empty((n, selector.shape[1]))
+    buffer = np.empty((min(n, ROW_BLOCK), whiten.shape[1]))
+    # the whitened means tiled to a whole block: a flat elementwise
+    # subtraction is ~3x cheaper than broadcasting a short row
+    tiled = np.empty_like(buffer)
+    tiled[:] = shift
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        z = buffer[: stop - start]
+        np.matmul(X[start:stop], whiten, out=z)
+        np.subtract(z, tiled[: stop - start], out=z)
+        np.square(z, out=z)
+        np.matmul(z, selector, out=out[start:stop])
+    # column by column: adding a short row to every row is ~4x slower
+    for column, constant in enumerate(constants):
+        out[:, column] += constant
+    out *= -0.5
+    return out
 
 
 def factor_blocks(groups, blocks, n_features: int) -> BlockFactor:
     """Factorize each covariance block once (through the jitter ladder).
 
     ``groups`` partitions ``range(n_features)``; ``blocks[g]`` is the
-    covariance of ``groups[g]``. Nothing is recorded here: the returned
-    factor records its jittered blocks each time it evaluates a density.
+    covariance of ``groups[g]``. Nothing is recorded here:
+    :func:`log_densities` records the factor's jittered blocks each time it
+    evaluates a density with it.
     """
     whiten = np.zeros((n_features, n_features))
     log_dets = np.empty(len(groups))
@@ -167,7 +202,7 @@ def gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     d = mean.shape[0]
-    return factor_blocks([list(range(d))], [cov], d).logpdf(X, mean)
+    return log_densities(X, [(factor_blocks([list(range(d))], [cov], d), mean)])[:, 0]
 
 
 def correlation_from_covariance(cov: np.ndarray) -> np.ndarray:

@@ -1,22 +1,27 @@
-"""Reference EM kernels: the parity oracle for the block-factored fast path.
+"""Reference EM kernels: the parity oracle for the fused fast path.
 
 The production kernels factorize each component's covariance blocks once
-into one block-diagonal inverse factor and stream the E- and M-steps over
-row blocks (:class:`~repro.utils.linalg.BlockFactor`,
-:func:`~repro.core.covariance.weighted_covariance`). They are held to the
+into one block-diagonal inverse factor, evaluate both components' densities
+in one whitening pass over row blocks
+(:func:`~repro.core.gaussian.stacked_logpdf`), and take both components'
+variances from one pass when the model reads only variances
+(:func:`~repro.core.covariance.weighted_variances`). They are held to the
 plain per-block loops kept here:
 
 * :func:`reference_gaussian_logpdf` — factorize, gather the block's columns
   and run one triangular solve, on every call;
 * :func:`reference_logpdf` — the sum of those over a distribution's blocks;
+* :func:`reference_stacked_logpdf` — :func:`reference_logpdf` (or, per
+  group, :func:`reference_gaussian_logpdf`) once per distribution;
 * :func:`reference_m_step` — one weighted covariance per group and
-  component, each over freshly gathered ``n × |group|`` columns;
+  component, each over freshly gathered ``n × |group|`` columns, rescaled
+  to the shared correlation where the model has one;
 * :func:`reference_pooled_correlation_blocks` — the shared ``R``, per group.
 
 :func:`reference_kernels` swaps them into :class:`~repro.core.em.EMRunner`
-and :class:`~repro.core.gaussian.BlockDiagonalGaussian` for the duration of
-a ``with`` block, so whole fits (pipelines, linkage, ablations) run on the
-oracle unchanged.
+and every module that evaluates densities through ``stacked_logpdf`` for
+the duration of a ``with`` block, so whole fits (pipelines, linkage,
+ablations) and the frozen scorer run on the oracle unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 
-from repro.core import em
+from repro.core import em, explain, gaussian
 from repro.core.covariance import rescale_to_correlation, weighted_mean
 from repro.core.em import EMRunner, MixtureParameters
 from repro.core.gaussian import BlockDiagonalGaussian
@@ -37,6 +42,7 @@ from repro.utils.linalg import correlation_from_covariance, robust_cholesky
 __all__ = [
     "reference_gaussian_logpdf",
     "reference_logpdf",
+    "reference_stacked_logpdf",
     "reference_weighted_covariance",
     "reference_pooled_correlation_blocks",
     "reference_m_step",
@@ -66,6 +72,21 @@ def reference_logpdf(dist: BlockDiagonalGaussian, X: np.ndarray) -> np.ndarray:
     for idx, block in zip(dist.groups, dist.blocks):
         total += reference_gaussian_logpdf(X[:, idx], dist.mean[idx], block)
     return total
+
+
+def reference_stacked_logpdf(distributions, X: np.ndarray, per_group: bool = False):
+    """``stacked_logpdf`` one distribution (and one block) at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    columns = []
+    for dist in distributions:
+        if not per_group:
+            columns.append(reference_logpdf(dist, X))
+            continue
+        if X.shape[1] != dist.n_features:
+            raise ValueError(f"X has {X.shape[1]} features, distribution has {dist.n_features}")
+        for idx, block in zip(dist.groups, dist.blocks):
+            columns.append(reference_gaussian_logpdf(X[:, idx], dist.mean[idx], block))
+    return np.stack(columns, axis=1)
 
 
 def reference_weighted_covariance(
@@ -131,7 +152,10 @@ def reference_m_step(runner: EMRunner) -> MixtureParameters:
 def reference_kernels():
     """Run every EM fit and density evaluation in the block on the oracle."""
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(BlockDiagonalGaussian, "logpdf", reference_logpdf))
+        for module in (gaussian, em, explain):
+            stack.enter_context(
+                mock.patch.object(module, "stacked_logpdf", reference_stacked_logpdf)
+            )
         stack.enter_context(mock.patch.object(EMRunner, "m_step", reference_m_step))
         stack.enter_context(
             mock.patch.object(

@@ -6,9 +6,13 @@ import pytest
 from repro.core.covariance import (
     pooled_correlation_blocks,
     rescale_to_correlation,
+    variance_blocks,
     weighted_covariance,
     weighted_mean,
+    weighted_variances,
 )
+from repro.core.regularization import apply_regularization
+from repro.utils.linalg import ROW_BLOCK
 
 
 class TestWeightedMean:
@@ -50,6 +54,47 @@ class TestWeightedCovariance:
         assert S_first[0, 0] == pytest.approx(0.0)
         S_both = weighted_covariance(X, np.array([1.0, 1.0]), np.array([0.5]))
         assert S_both[0, 0] == pytest.approx(0.25)
+
+
+class TestWeightedVariances:
+    def test_rows_are_each_components_covariance_diagonal(self, rng):
+        X = rng.random((ROW_BLOCK + 37, 4))  # a partial second row block
+        gamma = rng.random(X.shape[0])
+        weights = np.stack([gamma, 1.0 - gamma])
+        means = np.stack([weighted_mean(X, w) for w in weights])
+        variances = weighted_variances(X, weights, means)
+        for var, w, mean in zip(variances, weights, means):
+            np.testing.assert_allclose(var, np.diag(weighted_covariance(X, w, mean)), rtol=1e-12)
+
+    def test_feature_on_its_mean_keeps_exact_zero(self, rng):
+        X = rng.random((50, 3))
+        X[:, 1] = 0.5
+        weights = np.stack([np.ones(50), rng.random(50)])
+        means = np.stack([weighted_mean(X, w) for w in weights])
+        means[:, 1] = 0.5
+        assert np.all(weighted_variances(X, weights, means)[:, 1] == 0.0)
+
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="zero"):
+            weighted_variances(np.ones((3, 2)), np.zeros((1, 3)), np.zeros((1, 2)))
+
+    def test_blocks_are_rescaled_and_regularized_covariance(self, rng):
+        X = rng.random((80, 5))
+        w = rng.random(80)
+        mean = weighted_mean(X, w)
+        S = weighted_covariance(X, w, mean)
+        groups = [[0, 3], [1], [2, 4]]
+        correlations = pooled_correlation_blocks(X, groups)
+        penalty = rng.random(5)
+        blocks = variance_blocks(np.diag(S), groups, correlations, penalty)
+        for idx, R, block in zip(groups, correlations, blocks):
+            expected = apply_regularization(
+                rescale_to_correlation(S[np.ix_(idx, idx)], R), penalty, idx
+            )
+            assert np.array_equal(block, expected)
+        singletons = [[j] for j in range(5)]
+        for (j,), block in zip(singletons, variance_blocks(np.diag(S), singletons, None, penalty)):
+            assert block.shape == (1, 1) and block[0, 0] == S[j, j] + penalty[j]
 
 
 class TestPooledCorrelation:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import ERPipeline, load_benchmark
 from repro.core import ZeroERConfig, ZeroERLinkage
 from repro.eval import f_score
+from repro.eval.harness import blocker_for
+from repro.obs import configure_telemetry
 from repro.utils.rng import ensure_rng
 
 
@@ -103,6 +106,36 @@ class TestFitModes:
         model = ZeroERLinkage().fit(X, pairs, X_right=Xr, right_pairs=pr)
         pred_right = (model.right_scores_ > 0.5).astype(float)
         assert f_score(yr, pred_right) > 0.9
+
+
+class TestJointSchedule:
+    """Under ``linkage_mode="joint"`` each side steps once per F iteration."""
+
+    def test_sides_record_every_step_and_emit_their_metrics(self):
+        bench = load_benchmark("pub_da", scale="tiny", seed=11)
+        pipeline = ERPipeline(
+            blocker=blocker_for("pub_da"), config=ZeroERConfig(linkage_mode="joint")
+        )
+        configure_telemetry("memory")
+        try:
+            result = pipeline.run(bench.left, bench.right)
+        finally:
+            configure_telemetry(None)
+        model = pipeline.model_
+        steps = model._cross.history.n_iterations
+        assert model._left is not None and model._right is not None
+        for side in (model._left, model._right):
+            history = side.history
+            assert history.n_iterations == steps, side.name
+            assert len(history.iteration_seconds) == steps
+            assert len(history.match_probability_histograms) == steps
+            last, previous = history.log_likelihoods[-1], history.log_likelihoods[-2]
+            assert history.converged == (abs(last - previous) < model.config.tol)
+        metrics = result.telemetry.metrics
+        assert metrics["counters"]["em.iterations"] == 3 * steps
+        for name in ("F", "Fl", "Fr"):
+            assert f"em.converged.{name}" in metrics["gauges"]
+            assert f"em.log_likelihood.{name}" in metrics["gauges"]
 
 
 class TestValidation:

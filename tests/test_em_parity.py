@@ -1,13 +1,16 @@
 """EM fast path vs the per-block reference kernels (``reference_em``).
 
-The acceptance bar for the block-factored E-step and the one-scatter
-M-step:
+The acceptance bar for the fused E-step (both components whitened in one
+pass) and the variances-only M-step:
 
-* ``logpdf`` agrees with the per-block loop to ``rtol=1e-12`` (normwise: the
-  absolute floor is ``1e-12`` of the largest magnitude, since a log density
-  near zero is a cancellation of terms ~10⁴ times larger) on random
-  partitions, including singular blocks rescued by jitter, and so do the
-  M-step's covariance blocks and the shared correlation;
+* ``logpdf`` and the two-component ``stacked_logpdf`` agree with the
+  per-block loop to ``rtol=1e-12`` (normwise: the absolute floor is
+  ``1e-12`` of the largest magnitude, since a log density near zero is a
+  cancellation of terms ~10⁴ times larger) on random partitions, including
+  singular blocks rescued by jitter, and so do the M-step's covariance
+  blocks and the shared correlation;
+* inside ``reference_kernels()`` no fast kernel runs, so the whole-fit
+  comparisons below really compare against the per-block loops;
 * the six fixture datasets, fit end to end, keep identical per-runner EM
   step counts and convergence flags, identical match sets and F1, and
   scores ``allclose(rtol=1e-9)``;
@@ -19,7 +22,10 @@ datasets at paper scale and the ablations at small scale, the acceptance
 setting; tier-1 leaves it unset and runs both at tiny scale.
 """
 
+import contextlib
+import importlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +36,14 @@ from reference_em import (
     reference_logpdf,
     reference_m_step,
     reference_pooled_correlation_blocks,
+    reference_stacked_logpdf,
 )
 from repro import ERPipeline, load_benchmark
 from repro.core.config import ZeroERConfig, ablation_variants
 from repro.core.covariance import pooled_correlation_blocks
 from repro.core.em import EMRunner
-from repro.core.gaussian import BlockDiagonalGaussian
+from repro.core.explain import explain_pairs
+from repro.core.gaussian import BlockDiagonalGaussian, stacked_logpdf
 from repro.eval.harness import blocker_for, prepare_dataset, run_zeroer
 from repro.utils.linalg import ROW_BLOCK, gaussian_logpdf
 
@@ -107,8 +115,9 @@ def _random_block(rng, size, kind):
     return cov
 
 
-def _random_distribution(rng, kinds=("spd", "zero", "constant", "duplicate", "low_rank")):
-    d = int(rng.integers(1, 16))
+def _random_distribution(rng, kinds=("spd", "zero", "constant", "duplicate", "low_rank"), d=None):
+    if d is None:
+        d = int(rng.integers(1, 16))
     order = rng.permutation(d)
     cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d)), replace=False))
     groups = [[int(j) for j in g] for g in np.split(order, cuts)]
@@ -128,6 +137,14 @@ def test_logpdf_matches_per_block_loop(seed):
     for g, (idx, block) in enumerate(zip(dist.groups, dist.blocks)):
         expected = reference_gaussian_logpdf(X[:, idx], dist.mean[idx], block)
         _assert_close(per_group[:, g], expected)
+    # the E-step's call: a second component on its own partition, both
+    # whitened in one pass
+    other = _random_distribution(rng, d=dist.n_features)
+    both = stacked_logpdf([dist, other], X)
+    _assert_close(both[:, 0], reference_logpdf(dist, X))
+    _assert_close(both[:, 1], reference_logpdf(other, X))
+    both_groups = stacked_logpdf([dist, other], X, per_group=True)
+    _assert_close(both_groups, reference_stacked_logpdf([dist, other], X, per_group=True))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -170,6 +187,44 @@ def test_pooled_correlation_matches_per_group_loop(grouped_mixture):
 
 
 # -- whole fits ---------------------------------------------------------------------
+
+#: Every fast EM kernel, named where the production code looks it up.
+FAST_KERNELS = (
+    "repro.core.gaussian.log_densities",
+    "repro.core.em.weighted_variances",
+    "repro.core.em.weighted_covariance",
+    "repro.core.em.pooled_correlation_blocks",
+    "repro.core.covariance.weighted_covariance",
+)
+
+
+def _fit_score_and_explain():
+    bench = load_benchmark("pub_da", scale="tiny", seed=11)
+    pipeline = ERPipeline(blocker=blocker_for("pub_da"))
+    pipeline.run(bench.left, bench.right)
+    cross = pipeline.model_._cross
+    cross.posterior(cross.X[:5])
+    explain_pairs(cross.params, cross.X[:5])
+    # the ablations without the shared R: the d × d scatter and the 1 × 1 blocks
+    prep = prepare_dataset("rest_fz", scale="tiny", seed=0)
+    for variant in ("Grouped", "Independent"):
+        run_zeroer(prep, ABLATIONS[variant])
+
+
+def test_reference_kernels_run_no_fast_kernel():
+    with contextlib.ExitStack() as stack:
+        spies = {}
+        for target in FAST_KERNELS:
+            module, name = target.rsplit(".", 1)
+            original = getattr(importlib.import_module(module), name)
+            spies[target] = stack.enter_context(mock.patch(target, wraps=original))
+        _fit_score_and_explain()
+        assert [t for t, spy in spies.items() if not spy.called] == []
+        for spy in spies.values():
+            spy.reset_mock()
+        with reference_kernels():
+            _fit_score_and_explain()
+        assert [t for t, spy in spies.items() if spy.called] == []
 
 
 def _pipeline_fit(name):

@@ -1,4 +1,4 @@
-"""Public API surface tests: the imports README and DESIGN.md promise."""
+"""Public API surface tests: the imports the README promises."""
 
 import pytest
 

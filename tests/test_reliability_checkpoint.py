@@ -222,3 +222,30 @@ class TestResumableLinkage:
         np.testing.assert_allclose(
             result_resumed.scores, result_baseline.scores, rtol=0.0, atol=1e-12
         )
+
+    def test_joint_resume_reproduces_uninterrupted_run(self, tmp_path):
+        # the sides' histories travel in the combined checkpoint, so a
+        # resumed joint fit records the same steps as an uninterrupted one
+        ds = load_benchmark("rest_fz", scale="tiny", seed=7)
+        store = CheckpointStore(tmp_path / "ck")
+        config = ZeroERConfig(linkage_mode="joint")
+
+        def run(controls=None):
+            pipeline = ERPipeline(blocking_attribute="name", config=config, fit_controls=controls)
+            return pipeline, pipeline.run(ds.left, ds.right)
+
+        run(FitControls(checkpoint=store, checkpoint_every=1, time_budget_s=0.0))
+        assert len(store) >= 1
+        resumed, result_resumed = run(FitControls(checkpoint=store, resume=True))
+        baseline, result_baseline = run()
+
+        assert result_resumed.pairs == result_baseline.pairs
+        np.testing.assert_allclose(
+            result_resumed.scores, result_baseline.scores, rtol=0.0, atol=1e-12
+        )
+        for attr in ("_cross", "_left", "_right"):
+            a, b = getattr(resumed.model_, attr), getattr(baseline.model_, attr)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.history.log_likelihoods == b.history.log_likelihoods, attr
+                assert a.history.converged == b.history.converged, attr

@@ -299,6 +299,37 @@ class TestBenchSchema:
         with pytest.raises(ValueError, match="speedup"):
             bench_workload("pub_da", "sparse", 0.5)
 
+    @pytest.fixture
+    def probe_report(self, monkeypatch):
+        """A throwaway report name, with neither bench-size variable set."""
+        monkeypatch.delenv("REPRO_BENCH_SMOKE", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_MAX_SCALE", raising=False)
+        path = BENCHMARKS_DIR / "BENCH_ruleprobe.json"
+        yield path
+        path.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize(
+        "variable, value", [("REPRO_BENCH_SMOKE", "1"), ("REPRO_BENCH_MAX_SCALE", "100000")]
+    )
+    def test_smoke_or_capped_run_writes_no_report(
+        self, monkeypatch, probe_report, variable, value
+    ):
+        # a smoke or capped run's numbers are not the checked-in ones
+        from _bench_utils import bench_workload, write_bench_report
+
+        monkeypatch.setenv(variable, value)
+        row = bench_workload("pub_da", "fast", 0.5, speedup=2.0)
+        assert write_bench_report("ruleprobe", [row]) is None
+        assert not probe_report.exists()
+
+    def test_full_run_writes_its_report(self, monkeypatch, probe_report):
+        from _bench_utils import bench_workload, validate_bench_report, write_bench_report
+
+        monkeypatch.setenv("REPRO_BENCH_SMOKE", "0")
+        row = bench_workload("pub_da", "fast", 0.5, speedup=2.0)
+        assert write_bench_report("ruleprobe", [row]) == probe_report
+        validate_bench_report(json.loads(probe_report.read_text()))
+
     def test_validate_bench_report_rejects_bad_rows(self):
         from _bench_utils import validate_bench_report
 
