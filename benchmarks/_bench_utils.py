@@ -1,7 +1,7 @@
 """Shared benchmark utilities: paper reference numbers and method runners.
 
 Every benchmark prints our measured numbers side by side with the values the
-paper reports, so EXPERIMENTS.md can be filled directly from the bench
+paper reports, so each gap to the paper can be read straight off the bench
 output. Absolute equality is not the goal (our substrate is a synthetic
 generator, not the original corpora); the *shape* — orderings, collapses,
 crossovers — is what each bench checks.

@@ -3,8 +3,8 @@
 The paper's headline result: an unsupervised matcher that beats every
 unsupervised baseline on every dataset and is competitive with supervised
 models trained on 50% labeled data. Shape checks assert exactly that
-ordering; the printed table carries paper-vs-measured values for
-EXPERIMENTS.md.
+ordering; the printed table carries the paper's value beside each measured
+one.
 """
 
 import numpy as np
@@ -58,9 +58,10 @@ def test_table2_fscores(benchmark, capfd):
         # ZeroER beats (or ties) K-Means on every dataset outright
         for method in ("KM-RL", "KM-SK"):
             assert measured["ZeroER"] >= measured[method] - 0.02, (name, method)
-        # GMM and ECM are stronger on our synthetic features than the paper's
-        # real-data runs (see EXPERIMENTS.md); ZeroER must still never lose
-        # to either by a meaningful margin ...
+        # GMM and ECM are stronger on our synthetic features than in the
+        # paper's real-data runs (the printed table's GMM/paper_GMM and
+        # ECM/paper_ECM columns); ZeroER must still never lose to either by
+        # a meaningful margin ...
         assert measured["ZeroER"] >= measured["GMM"] - 0.06, name
         assert measured["ZeroER"] >= measured["ECM"] - 0.05, name
     # ... and matches-or-beats each of them (within one F1 point) on a

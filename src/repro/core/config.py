@@ -38,6 +38,9 @@ class ZeroERConfig:
 
     The defaults reproduce the paper's full configuration
     (grouped + adaptive + shared correlation + transitivity, κ = 0.15).
+    Record linkage has one training schedule, §5's per-iteration
+    interleaving of F, Fl and Fr (:class:`~repro.core.linkage.ZeroERLinkage`),
+    so no field selects one.
     """
 
     covariance: str = "grouped"
@@ -70,16 +73,6 @@ class ZeroERConfig:
     #: should seed it. An implementation choice, not the paper's; no
     #: checked-in measurement backs the value 0.7.
     within_init_threshold: float = 0.7
-    #: Record-linkage training schedule. ``"staged"`` (default) trains the
-    #: within-table models Fl/Fr to convergence first and holds them fixed
-    #: while F trains with calibration — calibration writes to Fl/Fr are then
-    #: sticky, which prevents the raise-then-overwrite oscillation the joint
-    #: schedule can fall into. ``"joint"`` is the paper's literal per-iteration
-    #: interleaving (F.E, F.M, Fl.M, Fl.E, Fr.M, Fr.E). The staged default
-    #: was never backed by a measurement: at paper scale, joint's F1 was at or
-    #: above staged's in every run measured (docs/architecture.md,
-    #: "Implementation choices").
-    linkage_mode: str = "staged"
 
     def __post_init__(self):
         if self.covariance not in COVARIANCE_STRUCTURES:
@@ -110,10 +103,6 @@ class ZeroERConfig:
             raise ValueError(
                 f"transitivity_warmup must be >= 0, got {self.transitivity_warmup}"
             )
-        if self.linkage_mode not in ("staged", "joint"):
-            raise ValueError(
-                f"linkage_mode must be 'staged' or 'joint', got {self.linkage_mode!r}"
-            )
         if not 0.0 <= self.within_init_threshold <= 1.0:
             raise ValueError(
                 f"within_init_threshold must be in [0, 1], got {self.within_init_threshold}"
@@ -134,10 +123,13 @@ class ZeroERConfig:
         Missing fields take their defaults; unknown keys raise ``ValueError``
         so a typo in a spec file fails loudly instead of silently running
         with defaults. Field values go through the usual ``__post_init__``
-        validation.
+        validation. The retired ``linkage_mode`` key (record linkage has one
+        schedule now), which every earlier spec and artifact carries, is
+        accepted and ignored.
         """
         if not isinstance(data, dict):
             raise ValueError(f"config must be a dict, got {type(data).__name__}")
+        data = {key: value for key, value in data.items() if key != "linkage_mode"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -3,9 +3,10 @@
 :class:`EMRunner` owns one mixture (prior + M/U block Gaussians) and one
 posterior vector over a fixed feature matrix, and exposes separate
 :meth:`m_step` / :meth:`e_step` methods. Keeping the steps separate is what
-lets the record-linkage trainer interleave three runners exactly as §5
-prescribes (``F.M, F.E, calibrate, Fl.M, Fl.E, Fr.M, Fr.E``), with the
-transitivity calibrator mutating posteriors between steps.
+lets :meth:`EMRunner.run`, the one iteration loop, interleave a
+record-linkage fit's three runners exactly as §5 prescribes
+(``F.M, F.E, calibrate, Fl.M, Fl.E, Fr.M, Fr.E``), with the transitivity
+calibrator mutating posteriors between steps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,10 @@ __all__ = [
     "match_probability_histogram",
     "emit_fit_metrics",
 ]
+
+#: :meth:`EMRunner.save_checkpoint`'s layout: ``{name: loop state}`` for a
+#: runner and its sides (format 1 held one runner's state).
+_CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -115,7 +121,7 @@ def frozen_scorer_parts(state: dict, name: str = "model"):
     """
     from repro.features.normalize import MinMaxNormalizer
 
-    config = ZeroERConfig(**state["config"])
+    config = ZeroERConfig.from_dict(state["config"])
     normalizer = MinMaxNormalizer()
     normalizer.mins_ = np.asarray(state["norm_mins"], dtype=np.float64)
     normalizer.maxs_ = np.asarray(state["norm_maxs"], dtype=np.float64)
@@ -150,10 +156,9 @@ def match_probability_histogram(gamma: np.ndarray) -> dict:
 def emit_fit_metrics(name: str, history: EMHistory, gamma: np.ndarray) -> None:
     """Export one EM fit's convergence signals into the metrics registry.
 
-    Shared by :meth:`EMRunner.run` and the record-linkage trainer's manual
-    loop, so both fit paths publish identical metric names: iteration
-    counts, final log likelihood and delta, convergence flag, and the final
-    posterior distribution.
+    :meth:`EMRunner.run` calls it once per runner it trained (a linkage
+    fit's F, Fl and Fr alike): iteration counts, final log likelihood and
+    delta, convergence flag, and the final posterior distribution.
     """
     add_counter("em.iterations", history.n_iterations)
     set_gauge(f"em.converged.{name}", float(history.converged))
@@ -365,9 +370,9 @@ class EMRunner:
 
         Everything :meth:`restore_loop_state` needs to continue the fit
         bit-identically: posteriors, the tail-averaging window, the learned
-        parameters, the likelihood trace, and the loop counters. Array keys
-        are prefixed (``"F."`` etc.) so the record-linkage trainer can pack
-        three runners into one checkpoint.
+        parameters, the likelihood trace, the convergence flag, and the loop
+        counters. Array keys are prefixed (``"F."`` etc.) so one checkpoint
+        can hold a runner and its sides.
         """
         n = int(self.gamma.shape[0])
         arrays: dict[str, np.ndarray] = {
@@ -382,6 +387,7 @@ class EMRunner:
             "log_likelihoods": list(self.history.log_likelihoods),
             "iteration_seconds": list(self.history.iteration_seconds),
             "transitivity_adjustments": list(self.history.transitivity_adjustments),
+            "converged": self.history.converged,
             "has_params": self.params is not None,
         }
         if self.params is not None:
@@ -409,6 +415,7 @@ class EMRunner:
         self.history.transitivity_adjustments = [
             int(v) for v in meta["transitivity_adjustments"]
         ]
+        self.history.converged = bool(meta["converged"])
         if meta.get("has_params"):
             n_blocks = int(meta["n_blocks"])
             self.params = mixture_from_state(
@@ -426,38 +433,65 @@ class EMRunner:
                 self.groups,
             )
 
-    def save_checkpoint(self, store) -> None:
-        """Write this runner's loop state through the crash-safe writer."""
-        meta, arrays = self.capture_loop_state()
+    def save_checkpoint(self, store, sides: tuple["EMRunner", ...] = ()) -> None:
+        """Write the loop state of this runner and its sides as one checkpoint.
+
+        The layout is ``{name: loop state}`` for every runner, each runner's
+        arrays under a ``"<name>."`` prefix, stamped with this runner's
+        fingerprint.
+        """
+        runners: dict[str, dict] = {}
+        arrays: dict[str, np.ndarray] = {}
+        for runner in (self, *sides):
+            runners[runner.name], runner_arrays = runner.capture_loop_state(
+                prefix=f"{runner.name}."
+            )
+            arrays.update(runner_arrays)
         store.save(
             {
-                "format": 1,
+                "format": _CHECKPOINT_FORMAT,
                 "kind": "em",
                 "iteration": self._iteration,
                 "fingerprint": self.fingerprint(),
-                "runner": meta,
+                "runners": runners,
             },
             arrays,
         )
 
-    def resume_from_checkpoint(self, store) -> bool:
-        """Restore the latest valid checkpoint; ``False`` if there is none.
+    def resume_from_checkpoint(self, store, sides: tuple["EMRunner", ...] = ()) -> bool:
+        """Restore this runner and its sides from the latest valid checkpoint.
 
-        Raises :class:`~repro.reliability.checkpoint.CheckpointError` when
-        the stored fingerprint does not match this fit (different data,
-        feature space, or configuration).
+        Returns ``False`` if there is none. Raises
+        :class:`~repro.reliability.checkpoint.CheckpointError` when the
+        stored fingerprint does not match this fit (different data, feature
+        space, or configuration), or when the checkpoint holds other runners
+        than this fit trains.
         """
         loaded = store.latest()
         if loaded is None:
             return False
         meta, arrays = loaded
-        if meta.get("kind") != "em" or meta.get("fingerprint") != self.fingerprint():
+        if (
+            meta.get("format") != _CHECKPOINT_FORMAT
+            or meta.get("fingerprint") != self.fingerprint()
+        ):
             raise CheckpointError(
                 f"checkpoint in {store.root} does not match this fit "
                 "(different data, feature space, or configuration)",
                 path=store.root,
             )
-        self.restore_loop_state(meta["runner"], arrays)
+        runners = (self, *sides)
+        stored, fitted = list(meta["runners"]), [runner.name for runner in runners]
+        if stored != fitted:
+            raise CheckpointError(
+                f"checkpoint in {store.root} holds runners {stored}, "
+                f"but this fit trains {fitted}",
+                path=store.root,
+            )
+        for runner in runners:
+            runner.restore_loop_state(
+                meta["runners"][runner.name], arrays, prefix=f"{runner.name}."
+            )
         record_condition(
             EM_RESUMED_FROM_CHECKPOINT,
             f"{self.name}: resumed EM at iteration {self._iteration}",
@@ -467,18 +501,48 @@ class EMRunner:
         )
         return True
 
-    # -- full loop (single-model case) ------------------------------------------
+    # -- the iteration loop -------------------------------------------------------
 
-    def run(self, calibrator=None, controls: FitControls | None = None) -> EMHistory:
-        """Algorithm 1: iterate M/E (with optional transitivity calibration).
+    def _record_step(self, ll: float, started: float, traced: bool) -> None:
+        """Record one M/E step: its seconds, log likelihood and |ΔLL| test."""
+        history = self.history
+        history.iteration_seconds.append(time.perf_counter() - started)
+        history.log_likelihoods.append(ll)
+        if traced:
+            history.match_probability_histograms.append(
+                match_probability_histogram(self.gamma)
+            )
+        history.converged = (
+            self._previous_ll is not None and abs(ll - self._previous_ll) < self.config.tol
+        )
+        self._previous_ll = ll
+        self._iteration += 1
 
-        On hitting ``max_iter`` without likelihood convergence the posterior
-        is replaced by the average of the last ``tail_window`` iterations'
-        posteriors (§6's tail averaging). ``controls`` adds the reliability
-        behaviors (all off by default): periodic crash-safe checkpoints,
-        resuming from the latest checkpoint, and a wall-clock budget that
-        stops the loop with best-so-far parameters and ``converged=False``
-        instead of running to ``max_iter``.
+    def run(
+        self,
+        calibrate: Callable[[np.ndarray], int] | None = None,
+        controls: FitControls | None = None,
+        sides: tuple["EMRunner", ...] = (),
+    ) -> EMHistory:
+        """Algorithm 1: iterate M/E, with optional transitivity calibration.
+
+        Each iteration runs this runner's M- and E-step, then, once past
+        ``config.transitivity_warmup`` iterations, ``calibrate`` on its
+        posteriors (it repairs violated triangles in place and returns the
+        number of adjustments), then one M- and E-step of each of ``sides``.
+        The sides are a record-linkage fit's within-table models, so one
+        iteration is §5's ``F.M, F.E, calibrate, Fl.M, Fl.E, Fr.M, Fr.E``.
+        Only this runner's |ΔLL| stops the loop; each side records its steps
+        and its own |ΔLL| test in its history.
+
+        On hitting ``max_iter`` without likelihood convergence this runner's
+        posterior is replaced by the average of the last ``tail_window``
+        iterations' posteriors (§6's tail averaging). ``controls`` adds the
+        reliability behaviors (all off by default): periodic crash-safe
+        checkpoints of this runner and its sides, resuming from the latest
+        checkpoint, and a wall-clock budget that stops the loop with
+        best-so-far parameters and ``converged=False`` instead of running to
+        ``max_iter``.
         """
         cfg = self.config
         traced = telemetry_active()
@@ -488,29 +552,23 @@ class EMRunner:
             "em.fit", model=self.name, n_pairs=int(self.X.shape[0]), max_iter=cfg.max_iter
         ) as sp:
             if controls is not None and controls.resume and store is not None:
-                self.resume_from_checkpoint(store)
+                self.resume_from_checkpoint(store, sides)
             budget_hit = False
             while self._iteration < cfg.max_iter:
                 iteration = self._iteration
                 started = time.perf_counter()
                 self.m_step()
                 ll = self.e_step()
-                if calibrator is not None and iteration >= cfg.transitivity_warmup:
-                    self.history.transitivity_adjustments.append(
-                        calibrator.calibrate(self.gamma)
-                    )
+                if calibrate is not None and iteration >= cfg.transitivity_warmup:
+                    self.history.transitivity_adjustments.append(calibrate(self.gamma))
+                for side in sides:
+                    side_started = time.perf_counter()
+                    side.m_step()
+                    side._record_step(side.e_step(), side_started, traced)
                 self._tail.append(self.gamma.copy())
-                self.history.iteration_seconds.append(time.perf_counter() - started)
-                self.history.log_likelihoods.append(ll)
-                if traced:
-                    self.history.match_probability_histograms.append(
-                        match_probability_histogram(self.gamma)
-                    )
-                self._iteration += 1
-                if self._previous_ll is not None and abs(ll - self._previous_ll) < cfg.tol:
-                    self.history.converged = True
+                self._record_step(ll, started, traced)
+                if self.history.converged:
                     break
-                self._previous_ll = ll
                 if controls is not None and controls.time_budget_s is not None:
                     budget_hit = time.monotonic() - started_run >= controls.time_budget_s
                 # Checkpoints capture the clean loop state *before* any
@@ -519,7 +577,7 @@ class EMRunner:
                 if store is not None and (
                     budget_hit or self._iteration % controls.checkpoint_every == 0
                 ):
-                    self.save_checkpoint(store)
+                    self.save_checkpoint(store, sides)
                 if budget_hit:
                     record_condition(
                         EM_TIME_BUDGET_EXHAUSTED,
@@ -544,14 +602,14 @@ class EMRunner:
                 if len(self._tail) > 1:
                     self.gamma = np.mean(np.stack(self._tail), axis=0)
             # the window is loop state only: checkpoints were written inside
-            # the loop, and a finished runner (e.g. a staged linkage side that
-            # stays alive through F's fit) need not hold tail_window posteriors
+            # the loop, and a fitted model need not hold tail_window posteriors
             self._tail.clear()
             sp.set(
                 n_iterations=self.history.n_iterations, converged=self.history.converged
             )
         if traced:
-            emit_fit_metrics(self.name, self.history, self.gamma)
+            for runner in (self, *sides):
+                emit_fit_metrics(runner.name, runner.history, runner.gamma)
         return self.history
 
     # -- inference on new data ----------------------------------------------------

@@ -13,35 +13,22 @@ generative models are trained together:
 with the per-iteration interleaving prescribed by the paper: F's E-step
 (followed by transitivity calibration, which may modify Fl/Fr posteriors)
 runs before Fl/Fr's M-steps, so the within-table models absorb the
-calibrated posteriors before their own E-steps.
+calibrated posteriors before their own E-steps. It is the only schedule:
+training Fl and Fr to convergence first never scored higher
+(docs/architecture.md, "Implementation choices").
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.config import ZeroERConfig
-from repro.core.em import (
-    EMHistory,
-    EMRunner,
-    emit_fit_metrics,
-    frozen_scorer_parts,
-    frozen_scorer_state,
-    match_probability_histogram,
-)
-from repro.obs import span, telemetry_active
+from repro.core.em import EMHistory, EMRunner, frozen_scorer_parts, frozen_scorer_state
 from repro.core.exceptions import InitializationError
 from repro.core.transitivity import LinkageTransitivityCalibrator
-from repro.reliability.checkpoint import CheckpointError, FitControls
-from repro.reliability.health import (
-    EM_NON_CONVERGENCE,
-    EM_RESUMED_FROM_CHECKPOINT,
-    EM_TIME_BUDGET_EXHAUSTED,
-    record_condition,
-)
+from repro.reliability.checkpoint import FitControls
 from repro.features.normalize import (
     MinMaxNormalizer,
     apply_normalization,
@@ -100,9 +87,13 @@ class ZeroERLinkage:
         """Train F (and Fl/Fr when within-table pair sets are provided).
 
         All three feature matrices must come from the same feature generator
-        so that ``feature_groups`` applies to each. ``controls`` adds the
-        reliability behaviors: combined F/Fl/Fr checkpoints through the
-        crash-safe writer, resume, and a wall-clock budget (see
+        so that ``feature_groups`` applies to each. F trains through
+        :meth:`EMRunner.run <repro.core.em.EMRunner.run>` with Fl and Fr as
+        its sides, so each iteration is §5's ``F.M, F.E, calibrate, Fl.M,
+        Fl.E, Fr.M, Fr.E`` and only F's likelihood decides convergence.
+        ``controls`` adds the reliability behaviors: one checkpoint of all
+        three runners through the crash-safe writer, resume, and a
+        wall-clock budget (see
         :class:`~repro.reliability.checkpoint.FitControls`).
         """
         if len(cross_pairs) != np.asarray(X_cross).shape[0]:
@@ -117,7 +108,7 @@ class ZeroERLinkage:
         self._left = self._optional_runner(X_left, left_pairs, groups, "Fl")
         self._right = self._optional_runner(X_right, right_pairs, groups, "Fr")
 
-        calibrator = None
+        calibrate = None
         if cfg.transitivity:
             calibrator = LinkageTransitivityCalibrator(
                 cross_pairs,
@@ -125,191 +116,18 @@ class ZeroERLinkage:
                 right_pairs or (),
                 max_degree=cfg.transitivity_max_degree,
             )
+            left, right = self._left, self._right
 
-        store = controls.checkpoint if controls is not None else None
-        resumed = False
-        if controls is not None and controls.resume and store is not None:
-            resumed = self._resume_from_checkpoint(store)
-
-        if cfg.linkage_mode == "staged" and not resumed:
-            # Train the within-table models to convergence first; their
-            # posteriors are then fixed inputs to F's calibration (writes from
-            # the calibrator persist, preventing raise-then-overwrite cycles).
-            # A resumed fit restores the sides' trained state instead.
-            for side in (self._left, self._right):
-                if side is not None:
-                    side.run()
-
-        traced = telemetry_active()
-        cross = self._cross
-        history = cross.history
-        joint = cfg.linkage_mode == "joint"
-        started_run = time.monotonic()
-        with span(
-            "em.fit",
-            model="F",
-            n_pairs=int(X_prepared.shape[0]),
-            max_iter=cfg.max_iter,
-            linkage_mode=cfg.linkage_mode,
-        ) as sp:
-            budget_hit = False
-            while cross._iteration < cfg.max_iter:
-                iteration = cross._iteration
-                started = time.perf_counter()
-                cross.m_step()
-                ll = cross.e_step()
-                if calibrator is not None and iteration >= cfg.transitivity_warmup:
-                    adjusted = calibrator.calibrate(
-                        cross.gamma,
-                        self._left.gamma if self._left is not None else None,
-                        self._right.gamma if self._right is not None else None,
-                    )
-                    history.transitivity_adjustments.append(adjusted)
-                if joint:
-                    # the paper's interleaving: within models absorb the
-                    # calibrated posteriors before their own E-steps
-                    for side in (self._left, self._right):
-                        if side is not None:
-                            self._joint_side_step(side, traced)
-                cross._tail.append(cross.gamma.copy())
-                history.iteration_seconds.append(time.perf_counter() - started)
-                history.log_likelihoods.append(ll)
-                if traced:
-                    history.match_probability_histograms.append(
-                        match_probability_histogram(cross.gamma)
-                    )
-                cross._iteration += 1
-                if cross._previous_ll is not None and abs(ll - cross._previous_ll) < cfg.tol:
-                    history.converged = True
-                    break
-                cross._previous_ll = ll
-                if controls is not None and controls.time_budget_s is not None:
-                    budget_hit = time.monotonic() - started_run >= controls.time_budget_s
-                # Checkpoints capture the clean loop state of all three
-                # runners *before* any tail-averaging.
-                if store is not None and (
-                    budget_hit or cross._iteration % controls.checkpoint_every == 0
-                ):
-                    self._save_checkpoint(store)
-                if budget_hit:
-                    record_condition(
-                        EM_TIME_BUDGET_EXHAUSTED,
-                        f"F: EM stopped after {cross._iteration} iterations on a "
-                        f"{controls.time_budget_s:g}s budget; returning best-so-far "
-                        "parameters",
-                        model="F",
-                        iteration=cross._iteration,
-                        time_budget_s=controls.time_budget_s,
-                    )
-                    break
-            if not history.converged:
-                if not budget_hit:
-                    record_condition(
-                        EM_NON_CONVERGENCE,
-                        f"F: EM hit max_iter={cfg.max_iter} without likelihood "
-                        "convergence; returning the tail-averaged posterior",
-                        model="F",
-                        max_iter=cfg.max_iter,
-                    )
-                if len(cross._tail) > 1:
-                    cross.gamma = np.mean(np.stack(cross._tail), axis=0)
-            cross._tail.clear()
-            sp.set(n_iterations=history.n_iterations, converged=history.converged)
-        if traced:
-            emit_fit_metrics("F", history, cross.gamma)
-            if joint:
-                # a staged side emitted its own metrics from its run()
-                for side in (self._left, self._right):
-                    if side is not None:
-                        emit_fit_metrics(side.name, side.history, side.gamma)
-        return self
-
-    def _joint_side_step(self, side: EMRunner, traced: bool) -> None:
-        """One M- and E-step of a within-table model, recorded in its history.
-
-        Under the joint schedule a side steps once per F iteration and never
-        runs its own loop, so its history records each step here, as
-        :meth:`EMRunner.run` would: the log likelihood, the seconds, and
-        ``converged`` from the side's own last |ΔLL| against ``tol``.
-        """
-        started = time.perf_counter()
-        side.m_step()
-        ll = side.e_step()
-        side.history.iteration_seconds.append(time.perf_counter() - started)
-        side.history.log_likelihoods.append(ll)
-        if traced:
-            side.history.match_probability_histograms.append(
-                match_probability_histogram(side.gamma)
-            )
-        side.history.converged = (
-            side._previous_ll is not None and abs(ll - side._previous_ll) < self.config.tol
-        )
-        side._previous_ll = ll
-        side._iteration += 1
-
-    # -- combined checkpoints ------------------------------------------------------
-
-    _SIDES = (("Fl", "_left"), ("Fr", "_right"))
-
-    def _save_checkpoint(self, store) -> None:
-        """One checkpoint holding F and whichever of Fl/Fr exist."""
-        meta_f, arrays = self._cross.capture_loop_state(prefix="F.")
-        runners: dict[str, dict | None] = {"F": meta_f}
-        for name, attr in self._SIDES:
-            side = getattr(self, attr)
-            if side is not None:
-                meta_side, side_arrays = side.capture_loop_state(prefix=f"{name}.")
-                runners[name] = meta_side
-                arrays.update(side_arrays)
-            else:
-                runners[name] = None
-        store.save(
-            {
-                "format": 1,
-                "kind": "linkage",
-                "iteration": self._cross._iteration,
-                "fingerprint": self._cross.fingerprint(),
-                "runners": runners,
-            },
-            arrays,
-        )
-
-    def _resume_from_checkpoint(self, store) -> bool:
-        """Restore F/Fl/Fr from the latest valid combined checkpoint."""
-        loaded = store.latest()
-        if loaded is None:
-            return False
-        meta, arrays = loaded
-        if (
-            meta.get("kind") != "linkage"
-            or meta.get("fingerprint") != self._cross.fingerprint()
-        ):
-            raise CheckpointError(
-                f"checkpoint in {store.root} does not match this linkage fit "
-                "(different data, feature space, or configuration)",
-                path=store.root,
-            )
-        runners = meta["runners"]
-        for name, attr in self._SIDES:
-            if (runners.get(name) is None) != (getattr(self, attr) is None):
-                raise CheckpointError(
-                    f"checkpoint in {store.root} disagrees with this fit about "
-                    f"the {name} within-table model",
-                    path=store.root,
+            def calibrate(gamma: np.ndarray) -> int:
+                return calibrator.calibrate(
+                    gamma,
+                    left.gamma if left is not None else None,
+                    right.gamma if right is not None else None,
                 )
-        self._cross.restore_loop_state(runners["F"], arrays, prefix="F.")
-        for name, attr in self._SIDES:
-            side = getattr(self, attr)
-            if side is not None:
-                side.restore_loop_state(runners[name], arrays, prefix=f"{name}.")
-        record_condition(
-            EM_RESUMED_FROM_CHECKPOINT,
-            f"F: resumed linkage EM at iteration {self._cross._iteration}",
-            severity="info",
-            model="F",
-            iteration=self._cross._iteration,
-        )
-        return True
+
+        sides = tuple(side for side in (self._left, self._right) if side is not None)
+        self._cross.run(calibrate, controls=controls, sides=sides)
+        return self
 
     def _optional_runner(self, X, pairs, groups, name) -> EMRunner | None:
         if X is None:

@@ -90,12 +90,12 @@ class ZeroER:
             raise ValueError(f"{len(pairs)} pairs for {X.shape[0]} feature rows")
         X_model = self._prepare_training(X)
         self._runner = EMRunner(X_model, self._as_groups(feature_groups), self.config)
-        calibrator = None
+        calibrate = None
         if self.config.transitivity and pairs is not None:
-            calibrator = DedupTransitivityCalibrator(
+            calibrate = DedupTransitivityCalibrator(
                 pairs, max_degree=self.config.transitivity_max_degree
-            )
-        self._runner.run(calibrator, controls=controls)
+            ).calibrate
+        self._runner.run(calibrate, controls=controls)
         return self
 
     def fit_predict(

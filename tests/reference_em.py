@@ -22,6 +22,10 @@ plain per-block loops kept here:
 and every module that evaluates densities through ``stacked_logpdf`` for
 the duration of a ``with`` block, so whole fits (pipelines, linkage,
 ablations) and the frozen scorer run on the oracle unchanged.
+
+:func:`reference_linkage_fit` is the oracle for the loop rather than the
+kernels: §5's interleaving of F, Fl and Fr as a plain ``for`` loop, which
+``ZeroERLinkage.fit`` (through ``EMRunner.run``) must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +37,14 @@ import numpy as np
 import scipy.linalg
 
 from repro.core import em, explain, gaussian
+from repro.core.config import ZeroERConfig
 from repro.core.covariance import rescale_to_correlation, weighted_mean
 from repro.core.em import EMRunner, MixtureParameters
+from repro.core.exceptions import InitializationError
 from repro.core.gaussian import BlockDiagonalGaussian
 from repro.core.regularization import apply_regularization, penalty_diagonal
+from repro.core.transitivity import LinkageTransitivityCalibrator
+from repro.features.normalize import MinMaxNormalizer, fit_normalization, impute_nan
 from repro.utils.linalg import correlation_from_covariance, robust_cholesky
 
 __all__ = [
@@ -47,6 +55,7 @@ __all__ = [
     "reference_pooled_correlation_blocks",
     "reference_m_step",
     "reference_kernels",
+    "reference_linkage_fit",
 ]
 
 
@@ -163,3 +172,77 @@ def reference_kernels():
             )
         )
         yield
+
+
+def _log_step(runner: EMRunner, ll: float) -> bool:
+    """Append one step's log likelihood; ``True`` once |ΔLL| < tol."""
+    lls = runner.history.log_likelihoods
+    lls.append(ll)
+    runner.history.converged = len(lls) > 1 and abs(ll - lls[-2]) < runner.config.tol
+    return runner.history.converged
+
+
+def reference_linkage_fit(
+    config: ZeroERConfig,
+    X_cross,
+    cross_pairs,
+    feature_groups,
+    X_left=None,
+    left_pairs=None,
+    X_right=None,
+    right_pairs=None,
+):
+    """§5's F/Fl/Fr interleaving as a plain loop; returns ``(F, Fl, Fr)``.
+
+    The runners are built as ``ZeroERLinkage.fit`` builds them (a side whose
+    initialization finds one class is dropped). Each iteration is F's M- and
+    E-step, calibration of all three posterior stores once past the
+    warm-up, then each side's M- and E-step. F's |ΔLL| stops the loop; an
+    F that never stops returns the mean of its last ``tail_window``
+    posteriors. No checkpoints, time budget or telemetry.
+    """
+    groups = [list(g) for g in feature_groups]
+    _, _, prepared = fit_normalization(np.asarray(X_cross, dtype=np.float64))
+    cross = EMRunner(prepared, groups, config, name="F")
+    within = config.replace(init_threshold=config.within_init_threshold)
+
+    def side(X, name):
+        if X is None:
+            return None
+        X = impute_nan(MinMaxNormalizer().fit_transform(np.asarray(X, dtype=np.float64)))
+        try:
+            return EMRunner(X, groups, within, name=name)
+        except InitializationError:
+            return None
+
+    left, right = side(X_left, "Fl"), side(X_right, "Fr")
+    calibrator = None
+    if config.transitivity:
+        calibrator = LinkageTransitivityCalibrator(
+            cross_pairs,
+            left_pairs or (),
+            right_pairs or (),
+            max_degree=config.transitivity_max_degree,
+        )
+    tail: list[np.ndarray] = []
+    for iteration in range(config.max_iter):
+        cross.m_step()
+        ll = cross.e_step()
+        if calibrator is not None and iteration >= config.transitivity_warmup:
+            adjusted = calibrator.calibrate(
+                cross.gamma,
+                None if left is None else left.gamma,
+                None if right is None else right.gamma,
+            )
+            cross.history.transitivity_adjustments.append(adjusted)
+        for runner in (left, right):
+            if runner is not None:
+                runner.m_step()
+                _log_step(runner, runner.e_step())
+        tail = (tail + [cross.gamma.copy()])[-config.tail_window:]
+        if _log_step(cross, ll):
+            break
+    else:
+        if len(tail) > 1:
+            cross.gamma = np.mean(np.stack(tail), axis=0)
+    return cross, left, right

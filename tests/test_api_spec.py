@@ -359,6 +359,13 @@ class TestRetiredKeys:
         assert "engine" not in doc["features"]
         assert "workers" not in doc["shard"]
 
+    @pytest.mark.parametrize("mode", ["staged", "joint"])
+    def test_model_config_with_retired_linkage_mode_loads(self, mode):
+        payload = {**retired_keys_spec(), "model": {"config": {"linkage_mode": mode, "kappa": 0.3}}}
+        spec = load_spec(payload)
+        assert spec.model.config == ZeroERConfig(kappa=0.3)
+        assert "linkage_mode" not in spec.to_dict()["model"]["config"]
+
     def test_union_member_with_retired_engine_builds(self):
         union = {
             "type": "union",

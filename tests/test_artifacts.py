@@ -27,6 +27,20 @@ def linkage_fit(dataset):
     return pipeline, result
 
 
+class TestRetiredConfigKey:
+    @pytest.mark.parametrize("mode", ["staged", "joint"])
+    def test_state_with_retired_linkage_mode_scores_identically(self, linkage_fit, mode):
+        # every artifact written while the key existed carries it
+        pipeline, _result = linkage_fit
+        X = pipeline.model_._cross.X
+        for model in (pipeline.model_, ZeroER(transitivity=False).fit(X)):
+            state = model.get_fitted_state()
+            retired = {**state, "config": {**state["config"], "linkage_mode": mode}}
+            current, loaded = (type(model).from_fitted_state(s) for s in (state, retired))
+            assert loaded.config == current.config
+            np.testing.assert_array_equal(loaded.predict_proba(X), current.predict_proba(X))
+
+
 class TestArtifactRoundTrip:
     def test_linkage_predict_proba_bit_identical(self, dataset, linkage_fit, tmp_path):
         """The transitivity (linkage) model round-trips exactly."""

@@ -30,7 +30,6 @@ class TestValidation:
             ("prior_floor", 0.7),
             ("transitivity_max_degree", 1),
             ("transitivity_warmup", -1),
-            ("linkage_mode", "parallel"),
             ("within_init_threshold", -0.2),
         ],
     )

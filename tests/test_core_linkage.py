@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_em import reference_linkage_fit
 from repro import ERPipeline, load_benchmark
 from repro.core import ZeroERConfig, ZeroERLinkage
 from repro.eval import f_score
-from repro.eval.harness import blocker_for
+from repro.eval.harness import blocker_for, prepare_dataset
 from repro.obs import configure_telemetry
 from repro.utils.rng import ensure_rng
+
+DATASETS = ("rest_fz", "pub_da", "pub_ds", "mv_ri", "prod_ab", "prod_ag")
 
 
 def linkage_problem(seed=0, n_left=120, copies_for=30):
@@ -63,10 +66,9 @@ def linkage_problem(seed=0, n_left=120, copies_for=30):
 
 
 class TestFitModes:
-    @pytest.mark.parametrize("mode", ["staged", "joint"])
-    def test_linkage_solves_one_to_many(self, mode):
+    def test_linkage_solves_one_to_many(self):
         X, pairs, y, Xr, pr, yr = linkage_problem()
-        model = ZeroERLinkage(ZeroERConfig(linkage_mode=mode))
+        model = ZeroERLinkage()
         model.fit(X, pairs, X_right=Xr, right_pairs=pr)
         assert f_score(y, model.labels_) > 0.9
 
@@ -90,12 +92,11 @@ class TestFitModes:
         assert model.left_scores_ is None
 
     def test_staged_fit_releases_tail_windows(self):
-        # Fl and Fr finish their loops before F starts; their tail-averaging
-        # windows (up to tail_window posterior copies each) must not stay
-        # alive through F's fit, nor F's once the fit has returned
+        # no runner keeps a tail-averaging window (up to tail_window
+        # posterior copies) once the fit has returned
         X, pairs, y, Xr, pr, yr = linkage_problem()
         left_pairs = [(f"L{i}", f"L{i + 1}") for i in range(len(pr))]
-        model = ZeroERLinkage(ZeroERConfig(linkage_mode="staged"))
+        model = ZeroERLinkage()
         model.fit(X, pairs, X_left=Xr, left_pairs=left_pairs, X_right=Xr, right_pairs=pr)
         for runner in (model._left, model._right, model._cross):
             assert runner.history.n_iterations > 0
@@ -109,13 +110,11 @@ class TestFitModes:
 
 
 class TestJointSchedule:
-    """Under ``linkage_mode="joint"`` each side steps once per F iteration."""
+    """Each side steps once per F iteration (§5's interleaving)."""
 
     def test_sides_record_every_step_and_emit_their_metrics(self):
         bench = load_benchmark("pub_da", scale="tiny", seed=11)
-        pipeline = ERPipeline(
-            blocker=blocker_for("pub_da"), config=ZeroERConfig(linkage_mode="joint")
-        )
+        pipeline = ERPipeline(blocker=blocker_for("pub_da"))
         configure_telemetry("memory")
         try:
             result = pipeline.run(bench.left, bench.right)
@@ -136,6 +135,35 @@ class TestJointSchedule:
         for name in ("F", "Fl", "Fr"):
             assert f"em.converged.{name}" in metrics["gauges"]
             assert f"em.log_likelihood.{name}" in metrics["gauges"]
+
+
+class TestReferenceLoop:
+    """``fit`` equals §5's interleaving written as a plain loop, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["both_sides", "no_right_side", "no_transitivity"])
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_fit_matches_the_plain_loop(self, name, variant):
+        prep = prepare_dataset(name, scale="tiny", seed=11)
+        config = ZeroERConfig(transitivity=variant != "no_transitivity")
+        sides = {
+            "X_left": prep.X_left,
+            "left_pairs": prep.left_pairs if prep.X_left is not None else None,
+            "X_right": prep.X_right,
+            "right_pairs": prep.right_pairs if prep.X_right is not None else None,
+        }
+        if variant == "no_right_side":
+            sides["X_right"] = sides["right_pairs"] = None
+        model = ZeroERLinkage(config).fit(prep.X, prep.pairs, prep.feature_groups, **sides)
+        expected = reference_linkage_fit(config, prep.X, prep.pairs, prep.feature_groups, **sides)
+        for runner, oracle in zip((model._cross, model._left, model._right), expected):
+            assert (runner is None) == (oracle is None)
+            if runner is None:
+                continue
+            assert np.array_equal(runner.gamma, oracle.gamma), runner.name
+            history, reference = runner.history, oracle.history
+            assert history.log_likelihoods == reference.log_likelihoods, runner.name
+            assert history.transitivity_adjustments == reference.transitivity_adjustments
+            assert history.converged == reference.converged, runner.name
 
 
 class TestValidation:

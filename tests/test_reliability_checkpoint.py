@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ERPipeline, ZeroER, ZeroERConfig, load_benchmark
+from repro.eval.harness import blocker_for
 from repro.reliability import (
     EM_RESUMED_FROM_CHECKPOINT,
     EM_TIME_BUDGET_EXHAUSTED,
@@ -185,6 +186,21 @@ class TestResumableEM:
         with pytest.raises(CheckpointError, match="does not match"):
             ZeroER(other_config).fit(X, controls=FitControls(checkpoint=store, resume=True))
 
+    @pytest.mark.parametrize("mode", ["staged", "joint"])
+    def test_checkpoint_with_retired_linkage_mode_is_rejected(
+        self, separable_mixture, config, tmp_path, mode
+    ):
+        # a checkpoint written while the config still had linkage_mode
+        # fingerprints that config, which no fit has any more
+        X, _y = separable_mixture
+        store = CheckpointStore(tmp_path / "ck")
+        ZeroER(config).fit(X, controls=FitControls(checkpoint=store, time_budget_s=0.0))
+        meta, arrays = store.latest()
+        meta["fingerprint"]["config"]["linkage_mode"] = mode
+        store.save(meta, arrays)
+        with pytest.raises(CheckpointError, match="does not match"):
+            ZeroER(config).fit(X, controls=FitControls(checkpoint=store, resume=True))
+
     def test_different_data_is_rejected(self, separable_mixture, tmp_path):
         X, _y = separable_mixture
         store = CheckpointStore(tmp_path / "ck")
@@ -224,14 +240,13 @@ class TestResumableLinkage:
         )
 
     def test_joint_resume_reproduces_uninterrupted_run(self, tmp_path):
-        # the sides' histories travel in the combined checkpoint, so a
-        # resumed joint fit records the same steps as an uninterrupted one
+        # the sides' histories travel in the one checkpoint, so a resumed
+        # fit records the same steps as an uninterrupted one
         ds = load_benchmark("rest_fz", scale="tiny", seed=7)
         store = CheckpointStore(tmp_path / "ck")
-        config = ZeroERConfig(linkage_mode="joint")
 
         def run(controls=None):
-            pipeline = ERPipeline(blocking_attribute="name", config=config, fit_controls=controls)
+            pipeline = ERPipeline(blocking_attribute="name", fit_controls=controls)
             return pipeline, pipeline.run(ds.left, ds.right)
 
         run(FitControls(checkpoint=store, checkpoint_every=1, time_budget_s=0.0))
@@ -249,3 +264,38 @@ class TestResumableLinkage:
             if a is not None:
                 assert a.history.log_likelihoods == b.history.log_likelihoods, attr
                 assert a.history.converged == b.history.converged, attr
+
+    def test_resume_after_the_last_step_keeps_every_convergence_flag(self, tmp_path):
+        # F runs to max_iter, so the last step is checkpointed and a resume
+        # has no step left to run: each runner's flag must come from the
+        # checkpoint (here Fl converged at its last step, F and Fr did not)
+        ds = load_benchmark("prod_ab", scale="tiny", seed=11)
+        store = CheckpointStore(tmp_path / "ck")
+
+        def flags(controls):
+            pipeline = ERPipeline(
+                blocker=blocker_for("prod_ab"),
+                config=ZeroERConfig(max_iter=40),
+                fit_controls=controls,
+            )
+            pipeline.run(ds.left, ds.right)
+            model = pipeline.model_
+            runners = (model._cross, model._left, model._right)
+            return {r.name: (r.history.n_iterations, r.history.converged) for r in runners}
+
+        uninterrupted = flags(FitControls(checkpoint=store, checkpoint_every=1))
+        assert uninterrupted["F"] == (40, False) and uninterrupted["Fl"][1]
+        assert flags(FitControls(checkpoint=store, resume=True)) == uninterrupted
+
+    def test_resume_with_other_sides_is_rejected(self, tmp_path):
+        ds = load_benchmark("rest_fz", scale="tiny", seed=7)
+        store = CheckpointStore(tmp_path / "ck")
+        pipeline = ERPipeline(
+            blocking_attribute="name",
+            fit_controls=FitControls(checkpoint=store, checkpoint_every=1, time_budget_s=0.0),
+        )
+        pipeline.run(ds.left, ds.right)
+        model = pipeline.model_
+        assert model._left is not None and model._right is not None
+        with pytest.raises(CheckpointError, match="holds runners"):
+            model._cross.resume_from_checkpoint(store, sides=(model._right,))
