@@ -347,3 +347,157 @@ def test_shard_count_scale_trajectory(benchmark, capfd, tmp_path):
         "out_of_core": out_of_core,
     })
     emit(capfd, report_note(report_path))
+
+
+# -- feature memo: repeated values against none ----------------------------------
+
+#: Store size, streamed batches and batch size of the feature-memo legs.
+MEMO_STORE_N = 1_000 if SMOKE else 10_000
+MEMO_BATCHES = 8 if SMOKE else 240
+MEMO_BATCH = 32
+MEMO_SEED = 25
+
+#: The memo path may cost at most this much more featurization (median per
+#: batch) than the memo-less path on a corpus without repeated values.
+MEMO_NO_REPEAT_BUDGET = 0.05
+
+_VENUE_ATTRIBUTES = ["name", "city", "cuisine"]
+
+
+class _TimedTransform:
+    """A fitted generator whose ``transform`` calls are timed in CPU seconds.
+
+    CPU time leaves out the steal time of a shared host.
+    """
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.seconds: list[float] = []
+
+    def transform(self, *args, **kwargs):
+        started = time.process_time()
+        try:
+            return self.generator.transform(*args, **kwargs)
+        finally:
+            self.seconds.append(time.process_time() - started)
+
+
+def _without_repeats(records: list) -> list:
+    """The records with a city and cuisine no other record shares."""
+    return [
+        {**rec, "city": f"{rec['city']} {rec['id']}", "cuisine": f"{rec['cuisine']} {rec['id']}"}
+        for rec in records
+    ]
+
+
+def _repeat_shares(batches: list) -> dict:
+    """Per attribute, the share of a batch's distinct value pairs that an
+    earlier batch already held (the input property the memo exploits)."""
+    shares = {}
+    for attribute in _VENUE_ATTRIBUTES:
+        seen: set = set()
+        repeated = total = 0
+        for pairs in batches:
+            distinct = {(a.get(attribute), b.get(attribute)) for a, b in pairs}
+            repeated += len(distinct & seen)
+            total += len(distinct)
+            seen |= distinct
+        shares[attribute] = round(repeated / max(total, 1), 4)
+    return shares
+
+
+def _memo_leg(repeats: bool) -> dict:
+    """Stream batches through a resolver (memo) and through the reference
+    resolve on a twin store and index (no memo); both must agree bit for bit."""
+    from reference_engine import reference_resolve
+
+    def prepare(records: list) -> list:
+        return records if repeats else _without_repeats(records)
+
+    pipeline = ERPipeline(blocker=TokenOverlapBlocker("name", min_overlap=2, top_k=10))
+    pipeline.run(
+        Table(
+            prepare(_synthetic_corpus(FIT_N, MEMO_SEED + 1, prefix="fit-")),
+            attributes=_VENUE_ATTRIBUTES,
+        )
+    )
+    corpus = prepare(_synthetic_corpus(MEMO_STORE_N, MEMO_SEED))
+    resolver, twin = pipeline.freeze(), pipeline.freeze()
+    _grow(resolver, corpus)
+    _grow(twin, corpus)
+    memo_timer = _TimedTransform(resolver.generator)
+    resolver.generator = memo_timer
+    plain_timer = _TimedTransform(twin.generator)
+    rng = np.random.default_rng(MEMO_SEED + 2)
+    scored_pairs = []
+    for b in range(MEMO_BATCHES):
+        batch = prepare(_probe_batch(corpus, rng, MEMO_BATCH, f"m{b}"))
+
+        def through_memo():
+            return resolver.resolve([dict(r) for r in batch])
+
+        def without_memo():
+            return reference_resolve(
+                plain_timer, twin.model, twin.index, twin.store, [dict(r) for r in batch]
+            )
+
+        # the two paths share the fitted generator: alternate which goes first
+        if b % 2:
+            (pairs, scores), result = without_memo(), through_memo()
+        else:
+            result, (pairs, scores) = through_memo(), without_memo()
+        # a fast wrong answer is no answer: bit-identical scoring
+        assert result.pairs == pairs
+        assert result.scores.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
+        assert result.assignments == {r: twin.store.entity_of(r) for r in result.record_ids}
+        scored_pairs.append([(resolver.store.get(x), resolver.store.get(y)) for x, y in pairs])
+    assert len(memo_timer.seconds) == len(plain_timer.seconds) == MEMO_BATCHES
+    memo_ms = float(np.median(memo_timer.seconds)) * 1000.0
+    plain_ms = float(np.median(plain_timer.seconds)) * 1000.0
+    return bench_workload(
+        "synthetic",
+        "memo",
+        memo_ms / 1000.0,
+        baseline_engine="no-memo",
+        baseline_seconds=plain_ms / 1000.0,
+        corpus="repeats" if repeats else "no-repeats",
+        store=MEMO_STORE_N,
+        batches=MEMO_BATCHES,
+        pairs_per_batch=round(sum(map(len, scored_pairs)) / MEMO_BATCHES, 1),
+        memo_feature_ms=round(memo_ms, 3),
+        no_memo_feature_ms=round(plain_ms, 3),
+        repeat_share=_repeat_shares(scored_pairs),
+        memo_entries={a: len(m) for a, m in resolver._feature_memo.items()},
+    )
+
+
+def test_feature_memo_on_repeats_and_none(benchmark, capfd):
+    rows = one_shot(benchmark, lambda: [_memo_leg(repeats=True), _memo_leg(repeats=False)])
+    emit(capfd, "")
+    emit(capfd, format_table(
+        [
+            {
+                "corpus": w["corpus"],
+                "pairs/batch": w["pairs_per_batch"],
+                "memo_ms": w["memo_feature_ms"],
+                "no_memo_ms": w["no_memo_feature_ms"],
+                "speedup": w["speedup"],
+                "repeat_share": " ".join(f"{a}={s}" for a, s in w["repeat_share"].items()),
+            }
+            for w in rows
+        ],
+        ["corpus", "pairs/batch", "memo_ms", "no_memo_ms", "speedup", "repeat_share"],
+        title=f"Featurization per {MEMO_BATCH}-record resolve batch, median CPU ms "
+        f"({MEMO_STORE_N} store, {MEMO_BATCHES} batches)",
+    ))
+    report_path = write_bench_report("memo", rows, meta={
+        "seed": MEMO_SEED,
+        "fit_records": FIT_N,
+        "batch": MEMO_BATCH,
+        "clock": "process CPU seconds of each FeatureGenerator.transform call",
+    })
+    emit(capfd, report_note(report_path))
+    if not SMOKE:
+        no_repeats = rows[1]
+        budget = (1 + MEMO_NO_REPEAT_BUDGET) * no_repeats["baseline_seconds"]
+        assert no_repeats["seconds"] <= budget, no_repeats

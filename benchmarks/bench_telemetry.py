@@ -8,8 +8,11 @@ The observability subsystem promises two things about cost (ISSUE 6):
    timing a tight loop of inactive spans (absolute per-span budget).
 2. **Traced overhead is small**: with the in-memory sink active, a full
    end-to-end resolve (blocking → featurization → EM) must stay within a
-   few percent of the untraced run. Verified by interleaved min-of-N
-   timings of the same pipeline with and without a sink.
+   few percent of the untraced run. Verified on interleaved runs of the
+   same pipeline with and without a sink: each run is timed in process CPU
+   seconds (tracing costs CPU in this process, and CPU time leaves out the
+   steal time of a shared host), and the median of the per-pair
+   differences is held to the budget.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a CI-friendly run: fewer repeats and a
 looser relative bar (shared runners are noisy); the no-op micro-guard is
@@ -17,6 +20,7 @@ asserted in both modes.
 """
 
 import os
+import statistics
 import time
 
 from _bench_utils import bench_workload, emit, one_shot, report_note, write_bench_report
@@ -31,7 +35,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 DATASET, SCALE, SEED = "pub_da", ("tiny" if SMOKE else "small"), 11
 
-#: min-of-N repeats per arm; interleaved to cancel thermal / cache drift.
+#: Interleaved untraced/traced pairs of runs.
 REPEATS = 3 if SMOKE else 5
 
 #: Traced overhead bar: relative (fraction of untraced) + absolute slack.
@@ -44,10 +48,11 @@ MAX_NOOP_SEC_PER_SPAN = 10e-6
 
 
 def _timed_run(ds) -> float:
+    """CPU seconds of one end-to-end run."""
     clear_feature_caches()  # neither arm inherits a warm token/JW cache
-    started = time.perf_counter()
+    started = time.process_time()
     ERPipeline(blocking_attribute="title").run(ds.left, ds.right)
-    return time.perf_counter() - started
+    return time.process_time() - started
 
 
 def test_traced_vs_untraced_overhead(benchmark, capfd):
@@ -64,10 +69,11 @@ def test_traced_vs_untraced_overhead(benchmark, capfd):
             traced.append(_timed_run(ds))
         configure_telemetry(None)
         reset_metrics()
-        return min(untraced), min(traced)
+        return untraced, traced
 
-    untraced_sec, traced_sec = one_shot(benchmark, run)
-    overhead_sec = traced_sec - untraced_sec
+    untraced, traced = one_shot(benchmark, run)
+    untraced_sec, traced_sec = statistics.median(untraced), statistics.median(traced)
+    overhead_sec = statistics.median(t - u for u, t in zip(untraced, traced))
     overhead_pct = 100.0 * overhead_sec / max(untraced_sec, 1e-9)
 
     emit(capfd, "")
@@ -80,8 +86,8 @@ def test_traced_vs_untraced_overhead(benchmark, capfd):
             "overhead_pct": round(overhead_pct, 2),
         }],
         ["workload", "untraced_sec", "traced_sec", "overhead_sec", "overhead_pct"],
-        title=f"Telemetry overhead: traced (memory sink) vs untraced resolve "
-              f"(min of {REPEATS})",
+        title=f"Telemetry overhead: traced (memory sink) vs untraced resolve, CPU "
+              f"seconds (medians of {REPEATS} interleaved pairs)",
     ))
 
     row = bench_workload(
@@ -94,7 +100,11 @@ def test_traced_vs_untraced_overhead(benchmark, capfd):
         scale=SCALE,
         overhead_pct=round(overhead_pct, 2),
     )
-    report_path = write_bench_report("telemetry", [row], meta={"seed": SEED, "repeats": REPEATS})
+    report_path = write_bench_report("telemetry", [row], meta={
+        "seed": SEED,
+        "repeats": REPEATS,
+        "clock": "process CPU seconds; overhead is the median per-pair difference",
+    })
     emit(capfd, report_note(report_path))
 
     budget = MAX_OVERHEAD_FRACTION * untraced_sec + ABSOLUTE_SLACK_SEC

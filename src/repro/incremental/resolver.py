@@ -145,7 +145,12 @@ class IncrementalResolver:
 
     Arriving batches are featurized in process by the same columnar
     kernels as the bulk pipeline
-    (:meth:`~repro.features.generator.FeatureGenerator.transform`).
+    (:meth:`~repro.features.generator.FeatureGenerator.transform`),
+    through a feature memo the resolver keeps across batches: each
+    attribute's scores for up to 4096 distinct value pairs, so a value
+    pair that recurs (a city, a venue) is scored once. The memo starts
+    empty with every resolver (``freeze``, ``load``, a serving reload),
+    is never saved, and :meth:`clear_caches` empties it.
     """
 
     def __init__(
@@ -169,6 +174,7 @@ class IncrementalResolver:
         self.store = store
         self.threshold = float(threshold)
         self.spec = spec
+        self._feature_memo: dict = {}
 
     # -- resolution --------------------------------------------------------------
 
@@ -227,7 +233,11 @@ class IncrementalResolver:
             # the spans, so reports carry real measured timings — never
             # fabricated zeros.
             with span("features", n_pairs=len(pairs)) as sp:
-                X = self.generator.transform(self.store, None, pairs) if pairs else None
+                X = (
+                    self.generator.transform(self.store, None, pairs, memo=self._feature_memo)
+                    if pairs
+                    else None
+                )
             timings["features"] = sp.seconds
 
             with span("scoring", n_pairs=len(pairs)) as sp:
@@ -303,15 +313,18 @@ class IncrementalResolver:
             set_gauge(f"shard.store.records.{info['shard']:04d}", info["records"])
 
     def clear_caches(self) -> None:
-        """Release the per-pair Monge–Elkan token cache.
+        """Empty the feature memo and release the per-pair Monge–Elkan token cache.
 
-        Only the per-pair fallback fills that cache: custom
+        The memo holds each attribute's scores for up to 4096 distinct value
+        pairs (see :meth:`~repro.features.generator.FeatureGenerator.transform`);
+        the next batch scores its value pairs afresh. Only the per-pair
+        fallback fills the token cache: custom
         :class:`~repro.features.generator.PairFeature` subclasses, and
         Monge–Elkan calls the batch kernel refuses. A resolve that stays on
-        the batch kernels never touches it, so there this frees nothing.
-        The cache is an LRU bounded by ``REPRO_JW_CACHE_SIZE`` /
-        :func:`repro.features.configure_jw_cache`.
+        the batch kernels never touches it. The cache is an LRU bounded by
+        ``REPRO_JW_CACHE_SIZE`` / :func:`repro.features.configure_jw_cache`.
         """
+        self._feature_memo.clear()
         clear_feature_caches()
 
     # -- persistence ---------------------------------------------------------------
